@@ -36,9 +36,8 @@ BenchReporter::BenchReporter(std::string Name, int Argc, char **Argv)
     } else if (A.rfind("--engine=", 0) == 0) {
       std::string V(A.substr(std::strlen("--engine=")));
       if (!interp::engineFromName(V, Eng)) {
-        std::fprintf(stderr,
-                     "%s: --engine= expects tree|bytecode|hostsimd\n",
-                     BenchName.c_str());
+        std::fprintf(stderr, "%s: --engine= expects %s\n",
+                     BenchName.c_str(), interp::engineNameList().c_str());
         std::exit(2);
       }
     } else {

@@ -69,15 +69,16 @@ public:
   /// Reduced-grid mode: --smoke or SIMDFLAT_QUICK.
   bool smoke() const { return Smoke; }
 
-  /// Interpreter engine selected by --engine=tree|bytecode|hostsimd
-  /// (default bytecode). Benches copy this into RunOptions::Eng; the
-  /// value is also written to meta.engine so perf_compare can refuse to
-  /// diff runs from different engines.
+  /// Interpreter engine selected by --engine= (a name from
+  /// interp::EngineNames; default bytecode). Benches copy this into
+  /// RunOptions::Eng; the value is also written to meta.engine so
+  /// perf_compare can refuse to diff runs from different engines.
   interp::Engine engine() const { return Eng; }
 
   /// Pins the engine tag for benches whose backend is fixed by
-  /// construction (e.g. bench_hostsimd) rather than user-selectable;
-  /// call before finish() so meta.engine matches what actually ran.
+  /// construction (e.g. bench_codegen_native) rather than
+  /// user-selectable; call before finish() so meta.engine matches what
+  /// actually ran.
   void setEngine(interp::Engine E) { Eng = E; }
 
   /// argc/argv with the reporter's own flags removed (argv[0] kept).

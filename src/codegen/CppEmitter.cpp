@@ -1,7 +1,7 @@
 //===- codegen/CppEmitter.cpp ---------------------------------*- C++ -*-===//
 //
 // Every emitted handler is a transcription of the SIMD policy of
-// exec/EngineCore.h's Core<IsSimd, Kern>::run(): same charges in the
+// exec/EngineCore.h's Core<IsSimd>::run(): same charges in the
 // same order, same trap kinds / messages / faulting lane sets, same
 // in-lane-order reductions (FP bit-identity), same masked commits.
 // Deviations allowed: scratch-only effects the interpreter never

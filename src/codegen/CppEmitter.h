@@ -9,9 +9,9 @@
 /// exec::Program: the flattened/coalesced schedule as straight-line
 /// native loops over a fixed lane count, masked commits as blends,
 /// per-lane fuel/deadline polling and trap collection semantically
-/// identical to the interpreter's Core<IsSimd, Kern> (the quad-engine
-/// fuzz oracle enforces bit-identity of stores, counters, traps, extern
-/// logs and trip histograms).
+/// identical to the interpreter's Core<IsSimd> (the differential fuzz
+/// oracle's native leg enforces bit-identity of stores, counters,
+/// traps, extern logs and trip histograms).
 ///
 /// The emitter bakes every compile-time fact - lane count, data layout,
 /// constant pools (reals as bit-exact hexfloat literals), slot shapes /

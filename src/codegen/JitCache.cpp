@@ -110,7 +110,7 @@ SfNativeRunFn buildOne(const std::string &Source, uint64_t Key,
 
     // -ffp-contract=off: the emitted loops must not fuse a mul+add that
     // the bytecode engine executes as two rounded instructions, or the
-    // quad-engine oracle loses FP bit-identity. -march=native is safe
+    // differential oracle loses FP bit-identity. -march=native is safe
     // for a JIT (artifacts never leave the host that compiled them) and
     // lets the per-lane loops vectorize; -fno-math-errno frees sqrt to
     // inline (the emitted code pre-sweeps negative operands exactly

@@ -240,7 +240,7 @@ bool codegen::runSimdNative(const exec::Program &EP,
   interp::RunStats &Stats = Result.Stats;
   interp::Trace &Tr = Result.Tr;
 
-  // Pre-run setup identical to Core<IsSimd, Kern>'s constructor.
+  // Pre-run setup identical to Core<IsSimd>'s constructor.
   Tr.Watch = Opts.Watch;
   Tr.Lanes = Lanes;
   if (Stats.TripNests.size() != EP.LoopNames.size()) {

@@ -5,22 +5,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The evaluation core behind exec::runScalar / runSimd / runSimdHost,
-/// shared by every engine as a template over two policies:
-///
-///  * IsSimd - the scalar policy runs ScalVal registers (and, via a
-///    ParallelSlice, one MIMD processor); the SIMD policy runs VecVal
-///    lane vectors under a MaskStack.
-///  * Kern   - which SimdKernels.h kernel set runs the dense per-lane
-///    arithmetic loops of the SIMD policy. kern::Generic reproduces the
-///    historical bytecode engine; the HostSimd backend instantiates the
-///    same Core with vector kernels from a -mavx2 translation unit.
+/// The evaluation core behind exec::runScalar / runSimd, shared by both
+/// as a template over one policy, IsSimd: the scalar policy runs
+/// ScalVal registers (and, via a ParallelSlice, one MIMD processor);
+/// the SIMD policy runs VecVal lane vectors under a MaskStack, with
+/// its dense per-lane arithmetic in the SimdKernels.h loops.
 ///
 /// Every handler is a transcription of the corresponding tree-walker
 /// path: same charges in the same order, same trap kinds, messages and
 /// lane sets. Opcodes that collect faulting lane sets, call externs, or
-/// reduce in lane order stay generic regardless of Kern - the
-/// scalar-fallback rule (DESIGN.md §13).
+/// reduce in lane order run inline in the dispatch rather than through
+/// a kern:: loop.
 ///
 /// This is a private header of src/exec; include it only from engine
 /// translation units.
@@ -104,7 +99,7 @@ inline bool cmpVals(Opcode Op, double LV, double RV) {
 }
 
 /// The evaluation core. One instantiation per execution policy.
-template <bool IsSimd, class Kern = kern::Generic> class Core {
+template <bool IsSimd> class Core {
   using Reg = std::conditional_t<IsSimd, VecVal, ScalVal>;
 
 public:
@@ -385,7 +380,7 @@ private:
   }
 };
 
-template <bool IsSimd, class Kern> void Core<IsSimd, Kern>::run() {
+template <bool IsSimd> void Core<IsSimd>::run() {
   size_t PC = 0;
   for (;;) {
     const Instr &I = EP.Code[PC];
@@ -535,13 +530,12 @@ template <bool IsSimd, class Kern> void Core<IsSimd, Kern>::run() {
                    std::move(VaryLanes));
           }
         } else {
-          // Masked commit: idle lanes keep their old value. Under the
-          // vector kernels this is a blend over the current mask.
+          // Masked commit: idle lanes keep their old value.
           if (S.isReal())
-            Kern::maskedStoreR(S.R.data(), C.R.data(),
+            kern::maskedStoreR(S.R.data(), C.R.data(),
                                Mask.current().data(), laneCount());
           else
-            Kern::maskedStoreI(S.I.data(), C.I.data(),
+            kern::maskedStoreI(S.I.data(), C.I.data(),
                                Mask.current().data(), laneCount());
         }
       } else {
@@ -639,9 +633,9 @@ template <bool IsSimd, class Kern> void Core<IsSimd, Kern>::run() {
         charge(V.Kind == ir::ScalarKind::Real ? Machine.Costs.RealOp
                                               : Machine.Costs.IntOp);
         if (V.Kind == ir::ScalarKind::Real)
-          Kern::negR(outR(I.A).data(), V.R.data(), laneCount());
+          kern::negR(outR(I.A).data(), V.R.data(), laneCount());
         else
-          Kern::negI(outI(I.A, V.Kind).data(), V.I.data(), laneCount());
+          kern::negI(outI(I.A, V.Kind).data(), V.I.data(), laneCount());
       } else {
         const ScalVal &V = Regs[I.B];
         charge(V.Kind == ir::ScalarKind::Real ? Machine.Costs.RealOp
@@ -657,7 +651,7 @@ template <bool IsSimd, class Kern> void Core<IsSimd, Kern>::run() {
       charge(Machine.Costs.LogicOp);
       if constexpr (IsSimd) {
         const VecVal &V = Regs[I.B];
-        Kern::notI(outI(I.A, V.Kind).data(), V.I.data(), laneCount());
+        kern::notI(outI(I.A, V.Kind).data(), V.I.data(), laneCount());
       } else {
         soutI(I.A, ir::ScalarKind::Bool) = Regs[I.B].asBool() ? 0 : 1;
       }
@@ -669,7 +663,7 @@ template <bool IsSimd, class Kern> void Core<IsSimd, Kern>::run() {
       bool IsAnd = I.Op == Opcode::AndOp;
       if constexpr (IsSimd) {
         const VecVal &L = Regs[I.B], &R = Regs[I.C];
-        Kern::logicOp(IsAnd, outI(I.A, ir::ScalarKind::Bool).data(),
+        kern::logicOp(IsAnd, outI(I.A, ir::ScalarKind::Bool).data(),
                       L.I.data(), R.I.data(), laneCount());
       } else {
         bool LV = Regs[I.B].asBool(), RV = Regs[I.C].asBool();
@@ -691,7 +685,7 @@ template <bool IsSimd, class Kern> void Core<IsSimd, Kern>::run() {
         // coercion scratch and run one real-compare kernel.
         const VecVal &L = readReal(I.B, CoerceA);
         const VecVal &R = readReal(I.C, CoerceB);
-        Kern::cmpRR(I.Op, outI(I.A, ir::ScalarKind::Bool).data(),
+        kern::cmpRR(I.Op, outI(I.A, ir::ScalarKind::Bool).data(),
                     L.R.data(), R.R.data(), laneCount());
       } else {
         const ScalVal &L = Regs[I.B], &R = Regs[I.C];
@@ -717,11 +711,11 @@ template <bool IsSimd, class Kern> void Core<IsSimd, Kern>::run() {
         const VecVal &L = Regs[I.B], &R = Regs[I.C];
         std::vector<int64_t> &Out = outI(I.A, ir::ScalarKind::Int);
         if (I.Op == Opcode::AddI)
-          Kern::addI(Out.data(), L.I.data(), R.I.data(), laneCount());
+          kern::addI(Out.data(), L.I.data(), R.I.data(), laneCount());
         else if (I.Op == Opcode::SubI)
-          Kern::subI(Out.data(), L.I.data(), R.I.data(), laneCount());
+          kern::subI(Out.data(), L.I.data(), R.I.data(), laneCount());
         else
-          Kern::mulI(Out.data(), L.I.data(), R.I.data(), laneCount());
+          kern::mulI(Out.data(), L.I.data(), R.I.data(), laneCount());
       } else {
         int64_t LV = Regs[I.B].asInt(), RV = Regs[I.C].asInt();
         switch (I.Op) {
@@ -791,16 +785,16 @@ template <bool IsSimd, class Kern> void Core<IsSimd, Kern>::run() {
         std::vector<double> &Out = outR(I.A);
         switch (I.Op) {
         case Opcode::AddR:
-          Kern::addR(Out.data(), L.R.data(), R.R.data(), laneCount());
+          kern::addR(Out.data(), L.R.data(), R.R.data(), laneCount());
           break;
         case Opcode::SubR:
-          Kern::subR(Out.data(), L.R.data(), R.R.data(), laneCount());
+          kern::subR(Out.data(), L.R.data(), R.R.data(), laneCount());
           break;
         case Opcode::MulR:
-          Kern::mulR(Out.data(), L.R.data(), R.R.data(), laneCount());
+          kern::mulR(Out.data(), L.R.data(), R.R.data(), laneCount());
           break;
         case Opcode::DivR:
-          Kern::divR(Out.data(), L.R.data(), R.R.data(), laneCount());
+          kern::divR(Out.data(), L.R.data(), R.R.data(), laneCount());
           break;
         default:
           SIMDFLAT_UNREACHABLE("bad real arithmetic op");
@@ -835,10 +829,10 @@ template <bool IsSimd, class Kern> void Core<IsSimd, Kern>::run() {
         const VecVal &B = readVec(I.C, K, CoerceB);
         charge(Real ? Machine.Costs.RealOp : Machine.Costs.IntOp);
         if (Real)
-          Kern::minmaxR(IsMax, outR(I.A).data(), A.R.data(), B.R.data(),
+          kern::minmaxR(IsMax, outR(I.A).data(), A.R.data(), B.R.data(),
                         laneCount());
         else
-          Kern::minmaxI(IsMax, outI(I.A, K).data(), A.I.data(), B.I.data(),
+          kern::minmaxI(IsMax, outI(I.A, K).data(), A.I.data(), B.I.data(),
                         laneCount());
       } else {
         const ScalVal &A = Regs[I.B], &B = Regs[I.C];
@@ -861,9 +855,9 @@ template <bool IsSimd, class Kern> void Core<IsSimd, Kern>::run() {
         charge(A.Kind == ir::ScalarKind::Real ? Machine.Costs.RealOp
                                               : Machine.Costs.IntOp);
         if (A.Kind == ir::ScalarKind::Real)
-          Kern::absR(outR(I.A).data(), A.R.data(), laneCount());
+          kern::absR(outR(I.A).data(), A.R.data(), laneCount());
         else
-          Kern::absI(outI(I.A, A.Kind).data(), A.I.data(), laneCount());
+          kern::absI(outI(I.A, A.Kind).data(), A.I.data(), laneCount());
       } else {
         const ScalVal &A = Regs[I.B];
         charge(A.Kind == ir::ScalarKind::Real ? Machine.Costs.RealOp
@@ -880,7 +874,7 @@ template <bool IsSimd, class Kern> void Core<IsSimd, Kern>::run() {
       if constexpr (IsSimd) {
         const VecVal &A = Regs[I.B];
         std::vector<double> &Out = outR(I.A);
-        if (Kern::anyNegative(A.R.data(), laneCount())) {
+        if (kern::anyNegative(A.R.data(), laneCount())) {
           // Slow path: some lane is negative. Sweep generically to
           // collect the faulting *active* lanes; idle negative lanes
           // produce the defined-away 0.0 without trapping.
@@ -895,7 +889,7 @@ template <bool IsSimd, class Kern> void Core<IsSimd, Kern>::run() {
                  "SQRT of a negative on active lane(s)",
                  std::move(NegLanes));
         } else {
-          Kern::sqrtR(Out.data(), A.R.data(), laneCount());
+          kern::sqrtR(Out.data(), A.R.data(), laneCount());
         }
       } else {
         const ScalVal &A = Regs[I.B];

@@ -1,34 +1,18 @@
-//===- exec/SimdKernels.h - Lane-loop kernel policies ----------*- C++ -*-===//
+//===- exec/SimdKernels.h - Dense per-lane loops ---------------*- C++ -*-===//
 //
 // Part of simdflat. MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The dense per-lane arithmetic loops of the SIMD evaluation core,
-/// factored into interchangeable kernel policies so the one Core
-/// template can retarget:
-///
-///  * Generic  - the plain scalar-per-lane loops the bytecode engine has
-///               always run; the bit-exact reference the others must
-///               match.
-///  * Portable - the HostSimd fallback: hand-rolled array-of-width
-///               blocks (width kern::PortableWidth) that a vectorizing
-///               compiler turns into whatever the target offers. Same
-///               scalar op per lane, so bit-identical by construction.
-///  * Avx2     - real 256-bit vector lanes (4 x int64 / 4 x double),
-///               compiled only in translation units built with -mavx2.
-///               Masked commits are vector blends; every op is chosen
-///               for bit-identity with the scalar forms (ordered-quiet
-///               compare predicates, blend-based max/min matching
-///               std::max/std::min NaN ordering, blend-to-zero for the
-///               guarded divide).
+/// The dense per-lane arithmetic loops of the SIMD evaluation core:
+/// plain scalar-per-lane loops over the lane vectors, bit-identical to
+/// the tree walker's per-lane evaluation.
 ///
 /// Only trap-free dense math lives here. Anything that collects faulting
 /// lane sets (integer divide, gather/scatter bounds checks), calls out
 /// (externs), or reduces in lane order (SUM must accumulate left to
-/// right for FP bit-identity) stays in the generic Core dispatch - that
-/// is the scalar-fallback rule DESIGN.md §13 documents.
+/// right for FP bit-identity) stays inline in the Core dispatch.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,562 +22,142 @@
 #include "exec/Bytecode.h"
 #include "support/Error.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
-
-#ifdef __AVX2__
-#include <immintrin.h>
-#endif
 
 namespace simdflat {
 namespace exec {
 namespace kern {
 
-/// Block width of the portable array-of-width fallback.
-constexpr size_t PortableWidth = 4;
-
-//===----------------------------------------------------------------------===//
-// Generic: the reference scalar-per-lane loops.
-//===----------------------------------------------------------------------===//
-
-struct Generic {
-  static constexpr const char *Name = "generic";
-
-  static void negI(int64_t *O, const int64_t *A, size_t N) {
+inline void negI(int64_t *O, const int64_t *A, size_t N) {
+  for (size_t L = 0; L < N; ++L)
+    O[L] = -A[L];
+}
+inline void negR(double *O, const double *A, size_t N) {
+  for (size_t L = 0; L < N; ++L)
+    O[L] = -A[L];
+}
+inline void notI(int64_t *O, const int64_t *A, size_t N) {
+  for (size_t L = 0; L < N; ++L)
+    O[L] = !A[L];
+}
+inline void logicOp(bool IsAnd, int64_t *O, const int64_t *A,
+                    const int64_t *B, size_t N) {
+  for (size_t L = 0; L < N; ++L)
+    O[L] = IsAnd ? (A[L] && B[L]) : (A[L] || B[L]);
+}
+inline void cmpRR(Opcode Op, int64_t *O, const double *A, const double *B,
+                  size_t N) {
+  switch (Op) {
+  case Opcode::CmpEq:
     for (size_t L = 0; L < N; ++L)
-      O[L] = -A[L];
-  }
-  static void negR(double *O, const double *A, size_t N) {
+      O[L] = A[L] == B[L];
+    break;
+  case Opcode::CmpNe:
     for (size_t L = 0; L < N; ++L)
-      O[L] = -A[L];
-  }
-  static void notI(int64_t *O, const int64_t *A, size_t N) {
+      O[L] = A[L] != B[L];
+    break;
+  case Opcode::CmpLt:
     for (size_t L = 0; L < N; ++L)
-      O[L] = !A[L];
-  }
-  static void logicOp(bool IsAnd, int64_t *O, const int64_t *A,
-                      const int64_t *B, size_t N) {
+      O[L] = A[L] < B[L];
+    break;
+  case Opcode::CmpLe:
     for (size_t L = 0; L < N; ++L)
-      O[L] = IsAnd ? (A[L] && B[L]) : (A[L] || B[L]);
-  }
-  static void cmpRR(Opcode Op, int64_t *O, const double *A, const double *B,
-                    size_t N) {
-    switch (Op) {
-    case Opcode::CmpEq:
-      for (size_t L = 0; L < N; ++L)
-        O[L] = A[L] == B[L];
-      break;
-    case Opcode::CmpNe:
-      for (size_t L = 0; L < N; ++L)
-        O[L] = A[L] != B[L];
-      break;
-    case Opcode::CmpLt:
-      for (size_t L = 0; L < N; ++L)
-        O[L] = A[L] < B[L];
-      break;
-    case Opcode::CmpLe:
-      for (size_t L = 0; L < N; ++L)
-        O[L] = A[L] <= B[L];
-      break;
-    case Opcode::CmpGt:
-      for (size_t L = 0; L < N; ++L)
-        O[L] = A[L] > B[L];
-      break;
-    case Opcode::CmpGe:
-      for (size_t L = 0; L < N; ++L)
-        O[L] = A[L] >= B[L];
-      break;
-    default:
-      SIMDFLAT_UNREACHABLE("not a comparison");
-    }
-  }
-  static void addI(int64_t *O, const int64_t *A, const int64_t *B,
-                   size_t N) {
+      O[L] = A[L] <= B[L];
+    break;
+  case Opcode::CmpGt:
     for (size_t L = 0; L < N; ++L)
-      O[L] = A[L] + B[L];
-  }
-  static void subI(int64_t *O, const int64_t *A, const int64_t *B,
-                   size_t N) {
+      O[L] = A[L] > B[L];
+    break;
+  case Opcode::CmpGe:
     for (size_t L = 0; L < N; ++L)
-      O[L] = A[L] - B[L];
+      O[L] = A[L] >= B[L];
+    break;
+  default:
+    SIMDFLAT_UNREACHABLE("not a comparison");
   }
-  static void mulI(int64_t *O, const int64_t *A, const int64_t *B,
-                   size_t N) {
-    for (size_t L = 0; L < N; ++L)
-      O[L] = A[L] * B[L];
-  }
-  static void addR(double *O, const double *A, const double *B, size_t N) {
-    for (size_t L = 0; L < N; ++L)
-      O[L] = A[L] + B[L];
-  }
-  static void subR(double *O, const double *A, const double *B, size_t N) {
-    for (size_t L = 0; L < N; ++L)
-      O[L] = A[L] - B[L];
-  }
-  static void mulR(double *O, const double *A, const double *B, size_t N) {
-    for (size_t L = 0; L < N; ++L)
-      O[L] = A[L] * B[L];
-  }
-  /// The guarded divide: a zero divisor yields 0.0 (active-lane zero
-  /// divisors do not trap on the real path; the language defines the
-  /// quotient away instead).
-  static void divR(double *O, const double *A, const double *B, size_t N) {
-    for (size_t L = 0; L < N; ++L)
-      O[L] = B[L] == 0.0 ? 0.0 : A[L] / B[L];
-  }
-  static void minmaxI(bool IsMax, int64_t *O, const int64_t *A,
-                      const int64_t *B, size_t N) {
-    for (size_t L = 0; L < N; ++L)
-      O[L] = IsMax ? std::max(A[L], B[L]) : std::min(A[L], B[L]);
-  }
-  static void minmaxR(bool IsMax, double *O, const double *A,
-                      const double *B, size_t N) {
-    for (size_t L = 0; L < N; ++L)
-      O[L] = IsMax ? std::max(A[L], B[L]) : std::min(A[L], B[L]);
-  }
-  static void absI(int64_t *O, const int64_t *A, size_t N) {
-    for (size_t L = 0; L < N; ++L)
-      O[L] = std::llabs(A[L]);
-  }
-  static void absR(double *O, const double *A, size_t N) {
-    for (size_t L = 0; L < N; ++L)
-      O[L] = std::fabs(A[L]);
-  }
-  /// True when any lane is strictly negative (NaN lanes are not). The
-  /// sqrt fast path uses this to skip the trap-collecting sweep.
-  static bool anyNegative(const double *A, size_t N) {
-    for (size_t L = 0; L < N; ++L)
-      if (A[L] < 0.0)
-        return true;
-    return false;
-  }
-  /// Plain sqrt over every lane; only called once anyNegative said no
-  /// lane traps (so no lane needs the negative-input guard).
-  static void sqrtR(double *O, const double *A, size_t N) {
-    for (size_t L = 0; L < N; ++L)
-      O[L] = std::sqrt(A[L]);
-  }
-  /// Masked commit: lanes with a zero mask byte keep their old value.
-  static void maskedStoreI(int64_t *Dst, const int64_t *Src,
-                           const uint8_t *M, size_t N) {
-    for (size_t L = 0; L < N; ++L)
-      if (M[L])
-        Dst[L] = Src[L];
-  }
-  static void maskedStoreR(double *Dst, const double *Src, const uint8_t *M,
-                           size_t N) {
-    for (size_t L = 0; L < N; ++L)
-      if (M[L])
-        Dst[L] = Src[L];
-  }
-};
-
-//===----------------------------------------------------------------------===//
-// Portable: hand-rolled array-of-width blocks (the HostSimd fallback).
-//===----------------------------------------------------------------------===//
-
-struct Portable {
-  static constexpr const char *Name = "portable";
-
-// Fixed-width inner blocks with a scalar tail: each op is the same
-// scalar expression per lane as Generic, so results are bit-identical;
-// the block shape is what lets a vectorizing compiler pick the target's
-// native width.
-#define SIMDFLAT_PORTABLE_MAP1(NAME, T, EXPR)                              \
-  static void NAME(T *O, const T *A, size_t N) {                           \
-    size_t L = 0;                                                          \
-    for (; L + PortableWidth <= N; L += PortableWidth)                     \
-      for (size_t K = 0; K < PortableWidth; ++K) {                         \
-        const T a = A[L + K];                                              \
-        O[L + K] = (EXPR);                                                 \
-      }                                                                    \
-    for (; L < N; ++L) {                                                   \
-      const T a = A[L];                                                    \
-      O[L] = (EXPR);                                                       \
-    }                                                                      \
-  }
-#define SIMDFLAT_PORTABLE_MAP2(NAME, T, EXPR)                              \
-  static void NAME(T *O, const T *A, const T *B, size_t N) {               \
-    size_t L = 0;                                                          \
-    for (; L + PortableWidth <= N; L += PortableWidth)                     \
-      for (size_t K = 0; K < PortableWidth; ++K) {                         \
-        const T a = A[L + K], b = B[L + K];                                \
-        O[L + K] = (EXPR);                                                 \
-      }                                                                    \
-    for (; L < N; ++L) {                                                   \
-      const T a = A[L], b = B[L];                                          \
-      O[L] = (EXPR);                                                       \
-    }                                                                      \
-  }
-
-  SIMDFLAT_PORTABLE_MAP1(negI, int64_t, -a)
-  SIMDFLAT_PORTABLE_MAP1(negR, double, -a)
-  SIMDFLAT_PORTABLE_MAP1(notI, int64_t, !a)
-  SIMDFLAT_PORTABLE_MAP2(addI, int64_t, a + b)
-  SIMDFLAT_PORTABLE_MAP2(subI, int64_t, a - b)
-  SIMDFLAT_PORTABLE_MAP2(mulI, int64_t, a *b)
-  SIMDFLAT_PORTABLE_MAP2(addR, double, a + b)
-  SIMDFLAT_PORTABLE_MAP2(subR, double, a - b)
-  SIMDFLAT_PORTABLE_MAP2(mulR, double, a *b)
-  SIMDFLAT_PORTABLE_MAP2(divR, double, b == 0.0 ? 0.0 : a / b)
-  SIMDFLAT_PORTABLE_MAP1(absI, int64_t, std::llabs(a))
-  SIMDFLAT_PORTABLE_MAP1(absR, double, std::fabs(a))
-  SIMDFLAT_PORTABLE_MAP1(sqrtR, double, std::sqrt(a))
-
-#undef SIMDFLAT_PORTABLE_MAP1
-#undef SIMDFLAT_PORTABLE_MAP2
-
-  static void logicOp(bool IsAnd, int64_t *O, const int64_t *A,
-                      const int64_t *B, size_t N) {
-    Generic::logicOp(IsAnd, O, A, B, N);
-  }
-  static void cmpRR(Opcode Op, int64_t *O, const double *A, const double *B,
-                    size_t N) {
-    Generic::cmpRR(Op, O, A, B, N);
-  }
-  static void minmaxI(bool IsMax, int64_t *O, const int64_t *A,
-                      const int64_t *B, size_t N) {
-    Generic::minmaxI(IsMax, O, A, B, N);
-  }
-  static void minmaxR(bool IsMax, double *O, const double *A,
-                      const double *B, size_t N) {
-    Generic::minmaxR(IsMax, O, A, B, N);
-  }
-  static bool anyNegative(const double *A, size_t N) {
-    return Generic::anyNegative(A, N);
-  }
-  static void maskedStoreI(int64_t *Dst, const int64_t *Src,
-                           const uint8_t *M, size_t N) {
-    Generic::maskedStoreI(Dst, Src, M, N);
-  }
-  static void maskedStoreR(double *Dst, const double *Src, const uint8_t *M,
-                           size_t N) {
-    Generic::maskedStoreR(Dst, Src, M, N);
-  }
-};
-
-//===----------------------------------------------------------------------===//
-// Avx2: 256-bit vector lanes. Only in -mavx2 translation units.
-//===----------------------------------------------------------------------===//
-
-#ifdef __AVX2__
-
-struct Avx2 {
-  static constexpr const char *Name = "avx2";
-  static constexpr size_t W = 4; // int64/double lanes per 256-bit vector
-
-  static __m256i loadI(const int64_t *P) {
-    return _mm256_loadu_si256(reinterpret_cast<const __m256i *>(P));
-  }
-  static void storeI(int64_t *P, __m256i V) {
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(P), V);
-  }
-
-  /// 0/1 int64 lanes from an all-ones/all-zeros compare mask.
-  static __m256i boolsFromMask(__m256i M) {
-    return _mm256_and_si256(M, _mm256_set1_epi64x(1));
-  }
-
-  static void negI(int64_t *O, const int64_t *A, size_t N) {
-    size_t L = 0;
-    const __m256i Z = _mm256_setzero_si256();
-    for (; L + W <= N; L += W)
-      storeI(O + L, _mm256_sub_epi64(Z, loadI(A + L)));
-    for (; L < N; ++L)
-      O[L] = -A[L];
-  }
-  static void negR(double *O, const double *A, size_t N) {
-    size_t L = 0;
-    const __m256d Sign = _mm256_set1_pd(-0.0);
-    for (; L + W <= N; L += W)
-      _mm256_storeu_pd(O + L,
-                       _mm256_xor_pd(_mm256_loadu_pd(A + L), Sign));
-    for (; L < N; ++L)
-      O[L] = -A[L];
-  }
-  static void notI(int64_t *O, const int64_t *A, size_t N) {
-    size_t L = 0;
-    const __m256i Z = _mm256_setzero_si256();
-    for (; L + W <= N; L += W)
-      storeI(O + L,
-             boolsFromMask(_mm256_cmpeq_epi64(loadI(A + L), Z)));
-    for (; L < N; ++L)
-      O[L] = !A[L];
-  }
-  static void logicOp(bool IsAnd, int64_t *O, const int64_t *A,
-                      const int64_t *B, size_t N) {
-    size_t L = 0;
-    const __m256i Z = _mm256_setzero_si256();
-    const __m256i Ones = _mm256_set1_epi64x(-1);
-    for (; L + W <= N; L += W) {
-      // Truthiness masks: all-ones where the operand is nonzero.
-      __m256i TA = _mm256_xor_si256(_mm256_cmpeq_epi64(loadI(A + L), Z),
-                                    Ones);
-      __m256i TB = _mm256_xor_si256(_mm256_cmpeq_epi64(loadI(B + L), Z),
-                                    Ones);
-      __m256i M = IsAnd ? _mm256_and_si256(TA, TB)
-                        : _mm256_or_si256(TA, TB);
-      storeI(O + L, boolsFromMask(M));
-    }
-    for (; L < N; ++L)
-      O[L] = IsAnd ? (A[L] && B[L]) : (A[L] || B[L]);
-  }
-
-  /// One compare predicate, vectorized. The ordered-quiet (OQ)
-  /// predicates return false on NaN operands exactly like the scalar
-  /// <, <=, >, >=, == operators; != uses unordered-quiet (UQ) because
-  /// scalar != is true when either side is NaN.
-  template <int Pred>
-  static void cmpLoop(int64_t *O, const double *A, const double *B,
-                      size_t N) {
-    size_t L = 0;
-    for (; L + W <= N; L += W) {
-      __m256d M = _mm256_cmp_pd(_mm256_loadu_pd(A + L),
-                                _mm256_loadu_pd(B + L), Pred);
-      storeI(O + L, boolsFromMask(_mm256_castpd_si256(M)));
-    }
-    // Scalar tail mirrors Generic::cmpRR exactly.
-    for (; L < N; ++L) {
-      double a = A[L], b = B[L];
-      switch (Pred) {
-      case _CMP_EQ_OQ:
-        O[L] = a == b;
-        break;
-      case _CMP_NEQ_UQ:
-        O[L] = a != b;
-        break;
-      case _CMP_LT_OQ:
-        O[L] = a < b;
-        break;
-      case _CMP_LE_OQ:
-        O[L] = a <= b;
-        break;
-      case _CMP_GT_OQ:
-        O[L] = a > b;
-        break;
-      case _CMP_GE_OQ:
-        O[L] = a >= b;
-        break;
-      }
-    }
-  }
-  static void cmpRR(Opcode Op, int64_t *O, const double *A, const double *B,
-                    size_t N) {
-    switch (Op) {
-    case Opcode::CmpEq:
-      cmpLoop<_CMP_EQ_OQ>(O, A, B, N);
-      break;
-    case Opcode::CmpNe:
-      cmpLoop<_CMP_NEQ_UQ>(O, A, B, N);
-      break;
-    case Opcode::CmpLt:
-      cmpLoop<_CMP_LT_OQ>(O, A, B, N);
-      break;
-    case Opcode::CmpLe:
-      cmpLoop<_CMP_LE_OQ>(O, A, B, N);
-      break;
-    case Opcode::CmpGt:
-      cmpLoop<_CMP_GT_OQ>(O, A, B, N);
-      break;
-    case Opcode::CmpGe:
-      cmpLoop<_CMP_GE_OQ>(O, A, B, N);
-      break;
-    default:
-      SIMDFLAT_UNREACHABLE("not a comparison");
-    }
-  }
-
-  static void addI(int64_t *O, const int64_t *A, const int64_t *B,
-                   size_t N) {
-    size_t L = 0;
-    for (; L + W <= N; L += W)
-      storeI(O + L, _mm256_add_epi64(loadI(A + L), loadI(B + L)));
-    for (; L < N; ++L)
-      O[L] = A[L] + B[L];
-  }
-  static void subI(int64_t *O, const int64_t *A, const int64_t *B,
-                   size_t N) {
-    size_t L = 0;
-    for (; L + W <= N; L += W)
-      storeI(O + L, _mm256_sub_epi64(loadI(A + L), loadI(B + L)));
-    for (; L < N; ++L)
-      O[L] = A[L] - B[L];
-  }
-  static void mulI(int64_t *O, const int64_t *A, const int64_t *B,
-                   size_t N) {
-    size_t L = 0;
-    for (; L + W <= N; L += W) {
-      // AVX2 has no 64x64 multiply; build the low 64 bits from 32-bit
-      // partial products: lo(a)*lo(b) + ((lo(a)*hi(b)+hi(a)*lo(b))<<32).
-      // Two's-complement wrap makes this exact for signed lanes too.
-      __m256i VA = loadI(A + L), VB = loadI(B + L);
-      __m256i LoLo = _mm256_mul_epu32(VA, VB);
-      __m256i AHi = _mm256_srli_epi64(VA, 32);
-      __m256i BHi = _mm256_srli_epi64(VB, 32);
-      __m256i Cross = _mm256_add_epi64(_mm256_mul_epu32(VA, BHi),
-                                       _mm256_mul_epu32(AHi, VB));
-      storeI(O + L,
-             _mm256_add_epi64(LoLo, _mm256_slli_epi64(Cross, 32)));
-    }
-    for (; L < N; ++L)
-      O[L] = A[L] * B[L];
-  }
-
-  static void addR(double *O, const double *A, const double *B, size_t N) {
-    size_t L = 0;
-    for (; L + W <= N; L += W)
-      _mm256_storeu_pd(
-          O + L, _mm256_add_pd(_mm256_loadu_pd(A + L),
-                               _mm256_loadu_pd(B + L)));
-    for (; L < N; ++L)
-      O[L] = A[L] + B[L];
-  }
-  static void subR(double *O, const double *A, const double *B, size_t N) {
-    size_t L = 0;
-    for (; L + W <= N; L += W)
-      _mm256_storeu_pd(
-          O + L, _mm256_sub_pd(_mm256_loadu_pd(A + L),
-                               _mm256_loadu_pd(B + L)));
-    for (; L < N; ++L)
-      O[L] = A[L] - B[L];
-  }
-  static void mulR(double *O, const double *A, const double *B, size_t N) {
-    size_t L = 0;
-    for (; L + W <= N; L += W)
-      _mm256_storeu_pd(
-          O + L, _mm256_mul_pd(_mm256_loadu_pd(A + L),
-                               _mm256_loadu_pd(B + L)));
-    for (; L < N; ++L)
-      O[L] = A[L] * B[L];
-  }
-  static void divR(double *O, const double *A, const double *B, size_t N) {
-    size_t L = 0;
-    const __m256d Z = _mm256_setzero_pd();
-    for (; L + W <= N; L += W) {
-      __m256d VB = _mm256_loadu_pd(B + L);
-      __m256d Q = _mm256_div_pd(_mm256_loadu_pd(A + L), VB);
-      // Zero divisors (either sign of zero, like the scalar == 0.0
-      // test) blend the quotient away to 0.0.
-      __m256d IsZ = _mm256_cmp_pd(VB, Z, _CMP_EQ_OQ);
-      _mm256_storeu_pd(O + L, _mm256_blendv_pd(Q, Z, IsZ));
-    }
-    for (; L < N; ++L)
-      O[L] = B[L] == 0.0 ? 0.0 : A[L] / B[L];
-  }
-
-  static void minmaxI(bool IsMax, int64_t *O, const int64_t *A,
-                      const int64_t *B, size_t N) {
-    size_t L = 0;
-    for (; L + W <= N; L += W) {
-      __m256i VA = loadI(A + L), VB = loadI(B + L);
-      __m256i M = IsMax ? _mm256_cmpgt_epi64(VA, VB)
-                        : _mm256_cmpgt_epi64(VB, VA);
-      storeI(O + L, _mm256_blendv_epi8(VB, VA, M));
-    }
-    for (; L < N; ++L)
-      O[L] = IsMax ? std::max(A[L], B[L]) : std::min(A[L], B[L]);
-  }
-  static void minmaxR(bool IsMax, double *O, const double *A,
-                      const double *B, size_t N) {
-    size_t L = 0;
-    for (; L + W <= N; L += W) {
-      __m256d VA = _mm256_loadu_pd(A + L), VB = _mm256_loadu_pd(B + L);
-      // Not _mm256_max_pd/_mm256_min_pd: their NaN/signed-zero rules
-      // differ from std::max/std::min. std::max(a,b) is a<b ? b : a and
-      // std::min(a,b) is b<a ? b : a; with an ordered compare both
-      // return a when either side is NaN, exactly like the blends here.
-      __m256d M = IsMax ? _mm256_cmp_pd(VA, VB, _CMP_LT_OQ)
-                        : _mm256_cmp_pd(VB, VA, _CMP_LT_OQ);
-      _mm256_storeu_pd(O + L, _mm256_blendv_pd(VA, VB, M));
-    }
-    for (; L < N; ++L)
-      O[L] = IsMax ? std::max(A[L], B[L]) : std::min(A[L], B[L]);
-  }
-
-  static void absI(int64_t *O, const int64_t *A, size_t N) {
-    size_t L = 0;
-    const __m256i Z = _mm256_setzero_si256();
-    for (; L + W <= N; L += W) {
-      __m256i V = loadI(A + L);
-      // abs(x) = (x ^ m) - m with m = all-ones when x < 0.
-      __m256i M = _mm256_cmpgt_epi64(Z, V);
-      storeI(O + L, _mm256_sub_epi64(_mm256_xor_si256(V, M), M));
-    }
-    for (; L < N; ++L)
-      O[L] = std::llabs(A[L]);
-  }
-  static void absR(double *O, const double *A, size_t N) {
-    size_t L = 0;
-    const __m256d Sign = _mm256_set1_pd(-0.0);
-    for (; L + W <= N; L += W)
-      _mm256_storeu_pd(
-          O + L, _mm256_andnot_pd(Sign, _mm256_loadu_pd(A + L)));
-    for (; L < N; ++L)
-      O[L] = std::fabs(A[L]);
-  }
-
-  static bool anyNegative(const double *A, size_t N) {
-    size_t L = 0;
-    const __m256d Z = _mm256_setzero_pd();
-    for (; L + W <= N; L += W) {
-      __m256d M = _mm256_cmp_pd(_mm256_loadu_pd(A + L), Z, _CMP_LT_OQ);
-      if (_mm256_movemask_pd(M) != 0)
-        return true;
-    }
-    for (; L < N; ++L)
-      if (A[L] < 0.0)
-        return true;
-    return false;
-  }
-  static void sqrtR(double *O, const double *A, size_t N) {
-    size_t L = 0;
-    for (; L + W <= N; L += W)
-      _mm256_storeu_pd(O + L, _mm256_sqrt_pd(_mm256_loadu_pd(A + L)));
-    // _mm256_sqrt_pd is correctly rounded, same as std::sqrt.
-    for (; L < N; ++L)
-      O[L] = std::sqrt(A[L]);
-  }
-
-  /// Widens 4 mask bytes to all-ones/all-zeros int64 lanes.
-  static __m256i widenMask(const uint8_t *M) {
-    uint32_t Packed;
-    std::memcpy(&Packed, M, sizeof(Packed));
-    __m256i Bytes = _mm256_cvtepu8_epi64(
-        _mm_cvtsi32_si128(static_cast<int>(Packed)));
-    return _mm256_xor_si256(
-        _mm256_cmpeq_epi64(Bytes, _mm256_setzero_si256()),
-        _mm256_set1_epi64x(-1));
-  }
-  static void maskedStoreI(int64_t *Dst, const int64_t *Src,
-                           const uint8_t *M, size_t N) {
-    size_t L = 0;
-    for (; L + W <= N; L += W) {
-      __m256i Sel = widenMask(M + L);
-      storeI(Dst + L,
-             _mm256_blendv_epi8(loadI(Dst + L), loadI(Src + L), Sel));
-    }
-    for (; L < N; ++L)
-      if (M[L])
-        Dst[L] = Src[L];
-  }
-  static void maskedStoreR(double *Dst, const double *Src, const uint8_t *M,
-                           size_t N) {
-    size_t L = 0;
-    for (; L + W <= N; L += W) {
-      __m256d Sel = _mm256_castsi256_pd(widenMask(M + L));
-      _mm256_storeu_pd(Dst + L,
-                       _mm256_blendv_pd(_mm256_loadu_pd(Dst + L),
-                                        _mm256_loadu_pd(Src + L), Sel));
-    }
-    for (; L < N; ++L)
-      if (M[L])
-        Dst[L] = Src[L];
-  }
-};
-
-#endif // __AVX2__
+}
+inline void addI(int64_t *O, const int64_t *A, const int64_t *B,
+                 size_t N) {
+  for (size_t L = 0; L < N; ++L)
+    O[L] = A[L] + B[L];
+}
+inline void subI(int64_t *O, const int64_t *A, const int64_t *B,
+                 size_t N) {
+  for (size_t L = 0; L < N; ++L)
+    O[L] = A[L] - B[L];
+}
+inline void mulI(int64_t *O, const int64_t *A, const int64_t *B,
+                 size_t N) {
+  for (size_t L = 0; L < N; ++L)
+    O[L] = A[L] * B[L];
+}
+inline void addR(double *O, const double *A, const double *B, size_t N) {
+  for (size_t L = 0; L < N; ++L)
+    O[L] = A[L] + B[L];
+}
+inline void subR(double *O, const double *A, const double *B, size_t N) {
+  for (size_t L = 0; L < N; ++L)
+    O[L] = A[L] - B[L];
+}
+inline void mulR(double *O, const double *A, const double *B, size_t N) {
+  for (size_t L = 0; L < N; ++L)
+    O[L] = A[L] * B[L];
+}
+/// The guarded divide: a zero divisor yields 0.0 (active-lane zero
+/// divisors do not trap on the real path; the language defines the
+/// quotient away instead).
+inline void divR(double *O, const double *A, const double *B, size_t N) {
+  for (size_t L = 0; L < N; ++L)
+    O[L] = B[L] == 0.0 ? 0.0 : A[L] / B[L];
+}
+inline void minmaxI(bool IsMax, int64_t *O, const int64_t *A,
+                    const int64_t *B, size_t N) {
+  for (size_t L = 0; L < N; ++L)
+    O[L] = IsMax ? std::max(A[L], B[L]) : std::min(A[L], B[L]);
+}
+inline void minmaxR(bool IsMax, double *O, const double *A,
+                    const double *B, size_t N) {
+  for (size_t L = 0; L < N; ++L)
+    O[L] = IsMax ? std::max(A[L], B[L]) : std::min(A[L], B[L]);
+}
+inline void absI(int64_t *O, const int64_t *A, size_t N) {
+  for (size_t L = 0; L < N; ++L)
+    O[L] = std::llabs(A[L]);
+}
+inline void absR(double *O, const double *A, size_t N) {
+  for (size_t L = 0; L < N; ++L)
+    O[L] = std::fabs(A[L]);
+}
+/// True when any lane is strictly negative (NaN lanes are not). The
+/// sqrt fast path uses this to skip the trap-collecting sweep.
+inline bool anyNegative(const double *A, size_t N) {
+  for (size_t L = 0; L < N; ++L)
+    if (A[L] < 0.0)
+      return true;
+  return false;
+}
+/// Plain sqrt over every lane; only called once anyNegative said no
+/// lane traps (so no lane needs the negative-input guard).
+inline void sqrtR(double *O, const double *A, size_t N) {
+  for (size_t L = 0; L < N; ++L)
+    O[L] = std::sqrt(A[L]);
+}
+/// Masked commit: lanes with a zero mask byte keep their old value.
+inline void maskedStoreI(int64_t *Dst, const int64_t *Src,
+                         const uint8_t *M, size_t N) {
+  for (size_t L = 0; L < N; ++L)
+    if (M[L])
+      Dst[L] = Src[L];
+}
+inline void maskedStoreR(double *Dst, const double *Src, const uint8_t *M,
+                         size_t N) {
+  for (size_t L = 0; L < N; ++L)
+    if (M[L])
+      Dst[L] = Src[L];
+}
 
 } // namespace kern
 } // namespace exec

@@ -226,7 +226,7 @@ std::string lanesOf(const Trap &T) {
   return Out;
 }
 
-/// Every lowered engine (bytecode, hostsimd) claims bit-identical
+/// Every lowered engine (bytecode, native) claims bit-identical
 /// semantics with the tree walker; hold each to it. Unlike
 /// compareVariant below, nothing here is schedule-dependent: same
 /// program, same store seed, same machine - every observable must match
@@ -290,7 +290,7 @@ void compareEngines(const VariantOutcome &TreeOut,
 
 /// Bitwise trip-histogram identity between two lowered engines (the
 /// tree oracle records none, so this compares bytecode against
-/// hostsimd/native). Histograms are uncharged telemetry, but the
+/// native). Histograms are uncharged telemetry, but the
 /// serving layer's adaptive respecialization keys off them - an engine
 /// that drifts here silently changes strategy decisions.
 void compareTripNests(const VariantOutcome &ByteOut,
@@ -381,22 +381,18 @@ void compareVariant(const VariantOutcome &Ref, const VariantOutcome &V,
 OracleResult fuzz::runOracle(const FuzzCase &C, const OracleOptions &Opts) {
   OracleResult Res;
 
-  // Every variant runs three times - tree-walk reference engine, then
-  // the bytecode engine, then the host-SIMD backend - four with
-  // Opts.Native (the JIT'd native tier) - and each lowered engine is
-  // held to exact equality with the tree before the bytecode outcome
-  // joins the cross-executor comparison below. (On variants without
-  // SIMD lanes HostSimd and Native take the bytecode path by design;
-  // the tuple still pins the dispatch plumbing.)
+  // Every variant runs twice - tree-walk reference engine, then the
+  // bytecode engine - three times with Opts.Native (the JIT'd native
+  // tier) - and each lowered engine is held to exact equality with the
+  // tree before the bytecode outcome joins the cross-executor
+  // comparison below. (On variants without SIMD lanes Native takes the
+  // bytecode path by design; the leg still pins the dispatch plumbing.)
   auto pushTwin = [&Res, &Opts](auto Make) {
     VariantOutcome TreeOut = Make(Engine::Tree);
     VariantOutcome ByteOut = Make(Engine::Bytecode);
-    VariantOutcome HostOut = Make(Engine::HostSimd);
     compareEngines(TreeOut, ByteOut, "bytecode", Res.Failures);
-    compareEngines(TreeOut, HostOut, "hostsimd", Res.Failures);
-    compareTripNests(ByteOut, HostOut, "hostsimd", Res.Failures);
     if (Opts.Native) {
-      // The quad leg: JIT'd native loops, held to the same bar (on a
+      // The native leg: JIT'd native loops, held to the same bar (on a
       // toolchain-less build Native degrades to bytecode and trivially
       // agrees - the leg then pins the fallback plumbing instead).
       VariantOutcome NatOut = Make(Engine::Native);

@@ -29,59 +29,60 @@ namespace interp {
 /// Which execution engine runs the program. All engines produce
 /// identical observable behavior (stores, stats, traces, traps) - the
 /// differential fuzzer enforces it. Bytecode lowers once and runs a
-/// flat instruction stream while Tree re-walks the AST per statement;
-/// HostSimd runs the same bytecode but maps SIMD lanes onto real host
-/// vector lanes (AVX2 where the build detected it, a hand-rolled
-/// array-of-width fallback otherwise). Native compiles the lowered
-/// bytecode to a real C++ translation unit (codegen::CppEmitter), builds
-/// it with the host toolchain and runs the dlopen'd loops; when no
-/// toolchain is available (SIMDFLAT_ENABLE_JIT=OFF, missing compiler,
-/// compile failure) it degrades to the Bytecode path, so selecting it is
-/// always safe. Tree survives as the reference oracle. Scalar-mode
-/// programs have no lanes, so HostSimd and Native degrade to the
-/// Bytecode path there by design.
+/// flat instruction stream while Tree re-walks the AST per statement.
+/// Native compiles the lowered bytecode to a real C++ translation unit
+/// (codegen::CppEmitter), builds it with the host toolchain and runs
+/// the dlopen'd loops; when no toolchain is available
+/// (SIMDFLAT_ENABLE_JIT=OFF, missing compiler, compile failure) it
+/// degrades to the Bytecode path, so selecting it is always safe. Tree
+/// survives as the reference oracle. Scalar-mode programs have no
+/// lanes, so Native degrades to the Bytecode path there by design.
 enum class Engine {
   Tree,
   Bytecode,
-  HostSimd,
   Native,
 };
 
-/// Stable name for an engine ("tree" / "bytecode" / "hostsimd" /
-/// "native").
+/// Every engine with its stable name, in the order usage text lists
+/// them. The only place the names are spelled.
+struct EngineNameEntry {
+  Engine E;
+  const char *Name;
+};
+inline constexpr EngineNameEntry EngineNames[] = {
+    {Engine::Tree, "tree"},
+    {Engine::Bytecode, "bytecode"},
+    {Engine::Native, "native"},
+};
+
+/// Stable name for an engine.
 inline const char *engineName(Engine E) {
-  switch (E) {
-  case Engine::Tree:
-    return "tree";
-  case Engine::Bytecode:
-    return "bytecode";
-  case Engine::HostSimd:
-    return "hostsimd";
-  case Engine::Native:
-    return "native";
-  }
+  for (const EngineNameEntry &N : EngineNames)
+    if (N.E == E)
+      return N.Name;
   return "bytecode";
 }
 
 /// Parses an engine name; returns false if \p Name matches none.
 inline bool engineFromName(const std::string &Name, Engine &Out) {
-  if (Name == "tree") {
-    Out = Engine::Tree;
-    return true;
-  }
-  if (Name == "bytecode") {
-    Out = Engine::Bytecode;
-    return true;
-  }
-  if (Name == "hostsimd") {
-    Out = Engine::HostSimd;
-    return true;
-  }
-  if (Name == "native") {
-    Out = Engine::Native;
-    return true;
-  }
+  for (const EngineNameEntry &N : EngineNames)
+    if (Name == N.Name) {
+      Out = N.E;
+      return true;
+    }
   return false;
+}
+
+/// The valid engine names joined by '|' ("tree|bytecode|native"), for
+/// usage and error text.
+inline std::string engineNameList() {
+  std::string Out;
+  for (const EngineNameEntry &N : EngineNames) {
+    if (!Out.empty())
+      Out += '|';
+    Out += N.Name;
+  }
+  return Out;
 }
 
 /// Compact distribution of observed inner-loop trip counts for one
@@ -207,7 +208,7 @@ struct RunStats {
   double Seconds = 0.0;
   /// Per-nest trip-count distributions, indexed by the lowered
   /// program's loop id (exec::Program::LoopNames order). Populated
-  /// identically by the bytecode and hostsimd engines; the tree oracle
+  /// identically by the bytecode and native engines; the tree oracle
   /// leaves it empty (it is informational telemetry, never compared by
   /// the differential oracle and never charged against fuel/cycles).
   std::vector<NestTripStats> TripNests;
@@ -313,8 +314,7 @@ struct RunOptions {
   std::optional<std::chrono::steady_clock::time_point> Deadline;
   /// Execution engine. Bytecode is the default hot path; Tree is the
   /// tree-walking reference oracle the differential tests compare
-  /// against; HostSimd runs the bytecode's SIMD lanes on real host
-  /// vector lanes.
+  /// against; Native runs JIT-compiled host loops.
   Engine Eng = Engine::Bytecode;
 };
 

@@ -572,7 +572,7 @@ RunOutcome<ScalarRunResult> ScalarInterp::run() {
   assert(!HasRun && "ScalarInterp::run() may be called once");
   HasRun = true;
   ScalarRunResult Result;
-  // Scalar-mode programs have no lanes, so HostSimd takes the bytecode
+  // Scalar-mode programs have no lanes, so Native takes the bytecode
   // path by design (the engine enum selects tree vs lowered execution).
   if (Opts.Eng != Engine::Tree) {
     if (!Compiled)

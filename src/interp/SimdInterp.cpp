@@ -76,21 +76,13 @@ public:
             exec::lower(Prog, exec::Mode::Simd));
       Result.EngineUsed = Opts.Eng;
       try {
-        // HostSimd runs the same lowered program through the core with
-        // host vector kernels; bit-identical, only wall time differs.
         // Native runs the JIT-compiled loops when a toolchain produced
         // them, and degrades to the bytecode core otherwise (the result
         // records which engine actually ran).
-        if (Opts.Eng == Engine::HostSimd)
-          exec::runSimdHost(*Compiled, Machine, Externs, Opts, Store,
-                            Result);
-        else if (Opts.Eng == Engine::Native &&
-                 codegen::runSimdNative(*Compiled, Prog, Machine, Externs,
-                                        Opts, Store, Result)) {
-          // Ran natively; EngineUsed already says Native.
-        } else {
-          if (Opts.Eng == Engine::Native)
-            Result.EngineUsed = Engine::Bytecode;
+        if (Opts.Eng != Engine::Native ||
+            !codegen::runSimdNative(*Compiled, Prog, Machine, Externs, Opts,
+                                    Store, Result)) {
+          Result.EngineUsed = Engine::Bytecode;
           exec::runSimd(*Compiled, Machine, Externs, Opts, Store, Result);
         }
       } catch (TrapException &E) {

@@ -197,11 +197,11 @@ struct Telemetry {
   /// (initial choice and each drift-triggered respecialization).
   int64_t StrategyEpoch = 0;
   /// Execution engine that actually ran the request ("tree" /
-  /// "bytecode" / "hostsimd" / "native"). Usually ServerOptions::Eng,
-  /// but a request routed to Engine::Native reports "bytecode" when
-  /// the native tier degraded (no toolchain, emitter refusal, or a
-  /// failed host compile) - the tag comes from the interpreter's
-  /// EngineUsed, never assumed.
+  /// "bytecode" / "native"). Usually ServerOptions::Eng, but a request
+  /// routed to Engine::Native reports "bytecode" when the native tier
+  /// degraded (no toolchain, emitter refusal, or a failed host
+  /// compile) - the tag comes from the interpreter's EngineUsed, never
+  /// assumed.
   std::string Engine = "bytecode";
   /// Tenant the request was accounted to (normalized; never empty in a
   /// reply).

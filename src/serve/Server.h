@@ -105,8 +105,8 @@ struct ServerOptions {
   machine::Layout Layout = machine::Layout::Cyclic;
   /// Execution engine every request runs under (flattend --engine).
   /// Tagged into each reply's telemetry. Tree is allowed (the oracle
-  /// engine serves correctly, just slowly); HostSimd maps model lanes
-  /// onto host vector lanes.
+  /// engine serves correctly, just slowly); Native serves JIT-compiled
+  /// host loops and degrades to bytecode without a toolchain.
   interp::Engine Eng = interp::Engine::Bytecode;
   /// Profile-guided adaptive strategy selection. Off: every primary
   /// compile is the static flattened pipeline (bit-identical legacy

@@ -1,9 +1,9 @@
-//===- tests/codegen/QuadEngineFuzzTest.cpp --------------------*- C++ -*-===//
+//===- tests/codegen/NativeOracleFuzzTest.cpp ------------------*- C++ -*-===//
 //
-// A bounded quad-engine oracle sweep: random programs through the full
-// transform pipeline, executed by tree, bytecode, host-SIMD AND the
-// JIT'd native tier, with every observable held to exact equality and
-// trip histograms compared bitwise. Bounded to a handful of seeds
+// A bounded native-leg oracle sweep: random programs through the full
+// transform pipeline, executed by tree, bytecode AND the JIT'd native
+// tier, with every observable held to exact equality and trip
+// histograms compared bitwise. Bounded to a handful of seeds
 // because each distinct program shape costs one host-compiler
 // invocation; the long sweep lives in flattenfuzz --native (CI's
 // codegen-smoke job). Passes unchanged on SIMDFLAT_ENABLE_JIT=OFF
@@ -24,7 +24,7 @@ using namespace simdflat::fuzz;
 
 namespace {
 
-TEST(QuadEngineFuzz, SeedSweepIsDivergenceFree) {
+TEST(NativeOracleFuzz, SeedSweepIsDivergenceFree) {
   OracleOptions OO;
   OO.Native = true;
   for (uint64_t Seed : {3u, 11u, 29u, 47u, 83u, 131u}) {
@@ -36,7 +36,7 @@ TEST(QuadEngineFuzz, SeedSweepIsDivergenceFree) {
   }
 }
 
-TEST(QuadEngineFuzz, TrappingCaseAgreesNatively) {
+TEST(NativeOracleFuzz, TrappingCaseAgreesNatively) {
   // A fuel-bounded fault case must trap with the same structured Trap
   // under the native tier as everywhere else.
   OracleOptions OO;

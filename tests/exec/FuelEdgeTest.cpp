@@ -4,7 +4,7 @@
 // is unlimited, a budget of exactly the program's instruction count
 // completes while one less traps, and SIMD trap *sets* (the per-lane
 // Lanes vector, location and detail) are identical between the tree
-// reference, the bytecode engine and the host-SIMD backend. The serving
+// reference, the bytecode engine and the native tier. The serving
 // core leans on these edges: MaxFuel admission and FuelExhausted
 // replies are only deterministic if every engine charges identically.
 //
@@ -46,8 +46,7 @@ RunOutcome<ScalarRunResult> runScalar(Engine E, int64_t Fuel) {
 }
 
 TEST(FuelEdge, ZeroFuelIsUnlimited) {
-  for (Engine E :
-       {Engine::Tree, Engine::Bytecode, Engine::HostSimd}) {
+  for (Engine E : {Engine::Tree, Engine::Bytecode, Engine::Native}) {
     auto R = runScalar(E, 0);
     ASSERT_TRUE(static_cast<bool>(R))
         << engineName(E) << ": " << R.error().render();
@@ -56,8 +55,7 @@ TEST(FuelEdge, ZeroFuelIsUnlimited) {
 }
 
 TEST(FuelEdge, ExactBudgetCompletesOneLessTraps) {
-  for (Engine E :
-       {Engine::Tree, Engine::Bytecode, Engine::HostSimd}) {
+  for (Engine E : {Engine::Tree, Engine::Bytecode, Engine::Native}) {
     // Total charge of the unlimited run...
     auto Free = runScalar(E, 0);
     ASSERT_TRUE(static_cast<bool>(Free)) << engineName(E);
@@ -85,7 +83,7 @@ TEST(FuelEdge, ExhaustionTrapIdenticalAcrossEngines) {
   int64_t Budget = Free->Stats.Instructions / 2;
   auto Tree = runScalar(Engine::Tree, Budget);
   ASSERT_FALSE(static_cast<bool>(Tree));
-  for (Engine E : {Engine::Bytecode, Engine::HostSimd}) {
+  for (Engine E : {Engine::Bytecode, Engine::Native}) {
     auto Got = runScalar(E, Budget);
     ASSERT_FALSE(static_cast<bool>(Got)) << engineName(E);
     expectSameTrap(Tree.error(), Got.error());
@@ -135,7 +133,7 @@ TEST(FuelEdge, SimdPerLaneTrapSetEquality) {
   EXPECT_EQ(Tree.error().Kind, TrapKind::OutOfBounds);
   ASSERT_FALSE(Tree.error().Lanes.empty())
       << "an OOB store under SIMD must name the faulting lane(s)";
-  for (Engine E : {Engine::Bytecode, Engine::HostSimd}) {
+  for (Engine E : {Engine::Bytecode, Engine::Native}) {
     auto Got = runSimd(PerLaneOobSource, E, 0);
     ASSERT_FALSE(static_cast<bool>(Got)) << engineName(E);
     expectSameTrap(Tree.error(), Got.error());
@@ -148,7 +146,7 @@ TEST(FuelEdge, SimdFuelTrapSetEquality) {
   auto Tree = runSimd(PerLaneOobSource, Engine::Tree, 2);
   ASSERT_FALSE(static_cast<bool>(Tree));
   EXPECT_EQ(Tree.error().Kind, TrapKind::FuelExhausted);
-  for (Engine E : {Engine::Bytecode, Engine::HostSimd}) {
+  for (Engine E : {Engine::Bytecode, Engine::Native}) {
     auto Got = runSimd(PerLaneOobSource, E, 2);
     ASSERT_FALSE(static_cast<bool>(Got)) << engineName(E);
     expectSameTrap(Tree.error(), Got.error());
@@ -184,7 +182,7 @@ TEST(FuelEdge, DeadlineTrapIdenticalAcrossEngines) {
   auto Tree = runSimdExpired(Engine::Tree);
   ASSERT_FALSE(static_cast<bool>(Tree));
   EXPECT_EQ(Tree.error().Kind, TrapKind::DeadlineExpired);
-  for (Engine E : {Engine::Bytecode, Engine::HostSimd}) {
+  for (Engine E : {Engine::Bytecode, Engine::Native}) {
     auto Got = runSimdExpired(E);
     ASSERT_FALSE(static_cast<bool>(Got)) << engineName(E);
     expectSameTrap(Tree.error(), Got.error());

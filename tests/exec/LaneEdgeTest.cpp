@@ -1,24 +1,25 @@
-//===- tests/exec/HostSimdBackendTest.cpp ----------------------*- C++ -*-===//
+//===- tests/exec/LaneEdgeTest.cpp -----------------------------*- C++ -*-===//
 //
-// The HostSimd backend's own contract, beyond the generic triple-engine
-// sweeps: the configure-time arch query is coherent, real-arithmetic
-// kernels (including the NaN/-0.0/denormal-sensitive MAX/MIN/DIV/SQRT
-// paths) are bitwise identical to the reference engines, masked WHERE
-// commits blend exactly like the generic masked store, and a padded
-// tail (N not divisible by the machine width) charges idle lane slots
-// without ever counting them active - on every engine.
+// Per-lane value edges, beyond the generic engine-equivalence sweeps:
+// real arithmetic (including the NaN/-0.0/denormal-sensitive
+// MAX/MIN/DIV/SQRT paths) is bitwise identical across engines, masked
+// WHERE commits keep idle lanes' bits exactly, a negative SQRT operand
+// traps on the same active lanes, and a padded tail (N not divisible
+// by the machine width) charges idle lane slots without ever counting
+// them active - on every engine. When the build can JIT, the native
+// runs must really have gone native.
 //
 //===----------------------------------------------------------------------===//
 
-#include "exec/Engine.h"
+#include "codegen/NativeEngine.h"
 #include "frontend/Parser.h"
 #include "interp/SimdInterp.h"
-#include "machine/HostVector.h"
 #include "transform/Pipeline.h"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <map>
 
 using namespace simdflat;
@@ -27,7 +28,7 @@ using namespace simdflat::interp;
 namespace {
 
 constexpr Engine AllEngines[] = {Engine::Tree, Engine::Bytecode,
-                                 Engine::HostSimd};
+                                 Engine::Native};
 
 /// Bitwise equality for doubles: distinguishes -0.0 from 0.0 and treats
 /// identical NaN payloads as equal, which value comparison cannot.
@@ -76,6 +77,9 @@ SimdRun runSource(
       << engineName(E) << ": " << (R ? "" : R.error().render());
   if (R)
     Out.R = std::move(*R);
+  if (E == Engine::Native && codegen::nativeAvailable()) {
+    EXPECT_EQ(Out.R.EngineUsed, Engine::Native);
+  }
   for (const auto &[Name, V] : SeedReals)
     Out.RealArrays[Name] = Interp.store().getRealArray(Name);
   for (const auto &[Name, V] : SeedInts)
@@ -83,17 +87,7 @@ SimdRun runSource(
   return Out;
 }
 
-TEST(HostSimdBackend, ArchQueryCoherent) {
-  machine::HostVectorCaps Caps = machine::hostVectorCaps();
-  EXPECT_STREQ(Caps.Arch, exec::hostSimdArch());
-  EXPECT_EQ(Caps.Width, exec::hostSimdWidth());
-  EXPECT_EQ(Caps.Width, 4);
-  std::string Arch = Caps.Arch;
-  EXPECT_TRUE(Arch == "avx2" || Arch == "portable") << Arch;
-  EXPECT_EQ(Caps.IsHardware, Arch == "avx2");
-}
-
-TEST(HostSimdBackend, PaddedTailNeverCountsActive) {
+TEST(LaneEdge, PaddedTailNeverCountsActive) {
   // 6 trips on a 4-lane machine: layer 1 full, layer 2 half idle. Every
   // engine must report 2 work steps covering 8 lane slots of which
   // exactly 6 were active - the padded tail charges the total but can
@@ -120,38 +114,54 @@ TEST(HostSimdBackend, PaddedTailNeverCountsActive) {
   }
 }
 
-TEST(HostSimdBackend, RealKernelsBitIdentical) {
+TEST(LaneEdge, RealKernelsBitIdentical) {
   // One expression soup over the value cases where vector instructions
   // and scalar C++ can legitimately disagree: signed zero (negation,
-  // division), denormals, huge magnitudes, divide-by-zero (defined to
-  // 0.0 here), MAX/MIN (blend rules), ABS, SQRT. The result arrays must
-  // be bitwise equal across all three engines.
+  // division), denormals, huge magnitudes, infinities, NaN operands,
+  // divide-by-zero (defined to 0.0 here), MAX/MIN (NaN ordering), ABS,
+  // SQRT. The result arrays must be bitwise equal across all engines.
   const char *Source =
       "PROGRAM RK\n"
-      "DISTRIBUTED REAL A(8)\n"
-      "DISTRIBUTED REAL B(8)\n"
-      "DISTRIBUTED REAL C(8)\n"
-      "DISTRIBUTED REAL D(8)\n"
+      "DISTRIBUTED REAL A(12)\n"
+      "DISTRIBUTED REAL B(12)\n"
+      "DISTRIBUTED REAL C(12)\n"
+      "DISTRIBUTED REAL D(12)\n"
+      "DISTRIBUTED REAL E(12)\n"
+      "DISTRIBUTED REAL F(12)\n"
       "INTEGER k\n"
       "BEGIN\n"
-      "  DOALL k = 1, 8\n"
+      "  DOALL k = 1, 12\n"
       "    C(k) = (A(k) + B(k)) * A(k) - B(k) / A(k)\n"
       "    D(k) = MAX(A(k), B(k)) + MIN(A(k), B(k)) - (-A(k))\n"
       "    D(k) = D(k) + ABS(B(k)) + SQRT(ABS(A(k)))\n"
+      "    E(k) = MAX(A(k), B(k))\n"
+      "    F(k) = MIN(A(k), B(k))\n"
       "  ENDDO\n"
       "END\n";
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  const double Inf = std::numeric_limits<double>::infinity();
   std::map<std::string, std::vector<double>> Seeds = {
-      {"A", {1.5, -2.25, 0.0, 5e-324, -0.0, 3.75, 1e300, -5.5}},
-      {"B", {-0.0, 0.5, -1.25, 0.0, 2.0, -7.5, 1e-300, 4.25}},
-      {"C", std::vector<double>(8, 0.0)},
-      {"D", std::vector<double>(8, 0.0)},
+      {"A", {1.5, -2.25, 0.0, 5e-324, -0.0, 3.75, 1e300, -5.5, NaN, 2.0,
+             -Inf, NaN}},
+      {"B", {-0.0, 0.5, -1.25, 0.0, 2.0, -7.5, 1e-300, 4.25, 3.0, NaN, Inf,
+             -0.0}},
+      {"C", std::vector<double>(12, 0.0)},
+      {"D", std::vector<double>(12, 0.0)},
+      {"E", std::vector<double>(12, 0.0)},
+      {"F", std::vector<double>(12, 0.0)},
   };
   SimdRun Ref = runSource(Source, Engine::Tree, Seeds);
-  for (Engine E : {Engine::Bytecode, Engine::HostSimd}) {
+  for (Engine E : {Engine::Bytecode, Engine::Native}) {
     SimdRun Got = runSource(Source, E, Seeds);
     EXPECT_TRUE(bitwiseEqual(Ref.RealArrays["C"], Got.RealArrays["C"]))
         << engineName(E);
     EXPECT_TRUE(bitwiseEqual(Ref.RealArrays["D"], Got.RealArrays["D"]))
+        << engineName(E);
+    // MAX/MIN stored on their own, so a NaN operand's position decides
+    // the result instead of being swamped by later NaN arithmetic.
+    EXPECT_TRUE(bitwiseEqual(Ref.RealArrays["E"], Got.RealArrays["E"]))
+        << engineName(E);
+    EXPECT_TRUE(bitwiseEqual(Ref.RealArrays["F"], Got.RealArrays["F"]))
         << engineName(E);
     EXPECT_EQ(Ref.R.Stats.Instructions, Got.R.Stats.Instructions)
         << engineName(E);
@@ -159,10 +169,10 @@ TEST(HostSimdBackend, RealKernelsBitIdentical) {
   }
 }
 
-TEST(HostSimdBackend, MaskedWhereBlendsExactly) {
-  // Divergent WHERE/ELSEWHERE: under the vector kernels the masked
-  // commit is a blend, and idle lanes must keep their old bits exactly
-  // (including a -0.0 that a sloppy blend could renormalize).
+TEST(LaneEdge, MaskedWhereBlendsExactly) {
+  // Divergent WHERE/ELSEWHERE: idle lanes must keep their old bits
+  // exactly (including a -0.0 that a sloppy blend could renormalize,
+  // and a NaN, which fails the comparison and so stays idle).
   const char *Source = "PROGRAM WB\n"
                        "DISTRIBUTED REAL V(8)\n"
                        "DISTRIBUTED INTEGER W(8)\n"
@@ -178,7 +188,8 @@ TEST(HostSimdBackend, MaskedWhereBlendsExactly) {
                        "  ENDDO\n"
                        "END\n";
   std::map<std::string, std::vector<double>> Seeds = {
-      {"V", {1.0, 0.25, -0.0, 2.5, 0.5, 7.75, -3.0, 0.75}},
+      {"V", {1.0, 0.25, -0.0, 2.5, 0.5, 7.75,
+             std::numeric_limits<double>::quiet_NaN(), 0.75}},
   };
   std::map<std::string, std::vector<int64_t>> IntSeeds = {
       {"W", std::vector<int64_t>(8, 0)},
@@ -186,7 +197,7 @@ TEST(HostSimdBackend, MaskedWhereBlendsExactly) {
   SimdRun Ref = runSource(Source, Engine::Tree, Seeds, IntSeeds);
   EXPECT_EQ(Ref.IntArrays["W"],
             (std::vector<int64_t>{1, -2, -3, 4, -5, 6, -7, 8}));
-  for (Engine E : {Engine::Bytecode, Engine::HostSimd}) {
+  for (Engine E : {Engine::Bytecode, Engine::Native}) {
     SimdRun Got = runSource(Source, E, Seeds, IntSeeds);
     EXPECT_TRUE(bitwiseEqual(Ref.RealArrays["V"], Got.RealArrays["V"]))
         << engineName(E);
@@ -194,10 +205,10 @@ TEST(HostSimdBackend, MaskedWhereBlendsExactly) {
   }
 }
 
-TEST(HostSimdBackend, SqrtNegativeActiveLaneTrapsIdentically) {
-  // The AVX2 sqrt kernel has a fast path (no negative anywhere) and a
-  // generic trap-collecting fallback; force the fallback and require
-  // the same per-lane trap set as the reference engines.
+TEST(LaneEdge, SqrtNegativeActiveLaneTrapsIdentically) {
+  // SQRT has a fast path (no negative anywhere) and a trap-collecting
+  // sweep; force the sweep and require the same per-lane trap set as
+  // the tree reference.
   const char *Source = "PROGRAM SN\n"
                        "DISTRIBUTED REAL A(4)\n"
                        "DISTRIBUTED REAL B(4)\n"
@@ -231,7 +242,7 @@ TEST(HostSimdBackend, SqrtNegativeActiveLaneTrapsIdentically) {
   ASSERT_FALSE(static_cast<bool>(Tree));
   EXPECT_EQ(Tree.error().Kind, TrapKind::DomainError);
   EXPECT_EQ(Tree.error().Lanes, (std::vector<int64_t>{1, 3}));
-  for (Engine E : {Engine::Bytecode, Engine::HostSimd}) {
+  for (Engine E : {Engine::Bytecode, Engine::Native}) {
     auto Got = RunIt(E);
     ASSERT_FALSE(static_cast<bool>(Got)) << engineName(E);
     EXPECT_EQ(Tree.error().Kind, Got.error().Kind) << engineName(E);

@@ -1,12 +1,11 @@
 //===- tests/fuzz/CorpusReplayTest.cpp -------------------------*- C++ -*-===//
 //
 // Replays every checked-in corpus case through the full differential
-// oracle - which runs every variant under all three engines (tree,
-// bytecode, hostsimd), so this is also the corpus replay for the
-// host-SIMD backend. Each file pins the loop form, inputs, and
-// reference verdict of one previously generated case; a divergence or
-// verdict change here is a regression in a transform or executor, not
-// in the fuzzer.
+// oracle, which runs every variant under the tree and bytecode engines
+// (the native leg is flattenfuzz --native's job). Each file pins the
+// loop form, inputs, and reference verdict of one previously generated
+// case; a divergence or verdict change here is a regression in a
+// transform or executor, not in the fuzzer.
 //
 //===----------------------------------------------------------------------===//
 

@@ -129,6 +129,37 @@ TEST(FlattencCli, StrategyVariantsAgreeOnResults) {
   std::remove(Fix.c_str());
 }
 
+TEST(FlattencCli, EngineVariantsAgreeOnResults) {
+  // Every listed engine runs the program to the same result; a name not
+  // in the list (including the removed hostsimd) is a usage error, and
+  // the usage and error text print exactly the accepted names.
+  std::string Fix = writeNestFixture();
+  std::string Baseline;
+  for (const char *Eng : {"tree", "bytecode", "native"}) {
+    CliResult R = runFlattenc(
+        std::string("--engine=") + Eng +
+        " --run --lanes=4 --set K=8 --set-array L=3,1,2,1,1,3,1,2 " + Fix);
+    EXPECT_EQ(R.ExitCode, 0) << Eng << ":\n" << R.Output;
+    std::string X = xLine(R.Output);
+    EXPECT_FALSE(X.empty()) << Eng << ":\n" << R.Output;
+    if (Baseline.empty())
+      Baseline = X;
+    else
+      EXPECT_EQ(X, Baseline) << Eng << " diverged:\n" << R.Output;
+  }
+  for (const char *Eng : {"hostsimd", "warp", ""}) {
+    CliResult R = runFlattenc(std::string("--engine=") + Eng + " " + Fix);
+    EXPECT_EQ(R.ExitCode, 2) << Eng << ":\n" << R.Output;
+    EXPECT_NE(R.Output.find("--engine expects tree|bytecode|native, got"),
+              std::string::npos)
+        << R.Output;
+    EXPECT_NE(R.Output.find("  --engine=tree|bytecode|native\n"),
+              std::string::npos)
+        << R.Output;
+  }
+  std::remove(Fix.c_str());
+}
+
 TEST(FlattencCli, AdaptiveTwoPassPicksFromTheProfile) {
   // One hot row on 4 lanes: the profiled distribution makes the
   // balanced coalesced schedule the model's winner. Uniform trips keep

@@ -98,7 +98,7 @@ TEST(FlattendCli, UnterminatedCompleteFinalLineIsServed) {
 }
 
 TEST(FlattendCli, EngineFlagSelectsBackendAndIsEchoed) {
-  for (const char *Eng : {"tree", "bytecode", "hostsimd"}) {
+  for (const char *Eng : {"tree", "bytecode", "native"}) {
     CliResult R = runFlattend(
         std::string("--workers=1 --engine=") + Eng, goodRequest(1) + "\n");
     EXPECT_EQ(R.ExitCode, 0) << Eng << ":\n" << R.Output;
@@ -108,7 +108,18 @@ TEST(FlattendCli, EngineFlagSelectsBackendAndIsEchoed) {
               std::string::npos)
         << Eng << ":\n" << R.Output;
   }
-  EXPECT_EQ(runFlattend("--engine=warp", "").ExitCode, 2);
+  // Names outside the list, including the removed hostsimd, are usage
+  // errors whose text prints exactly the accepted names.
+  for (const char *Eng : {"warp", "hostsimd"}) {
+    CliResult R = runFlattend(std::string("--engine=") + Eng, "");
+    EXPECT_EQ(R.ExitCode, 2) << Eng << ":\n" << R.Output;
+    EXPECT_NE(R.Output.find("--engine expects tree|bytecode|native, got"),
+              std::string::npos)
+        << R.Output;
+    EXPECT_NE(R.Output.find("  --engine=tree|bytecode|native\n"),
+              std::string::npos)
+        << R.Output;
+  }
 }
 
 /// A request whose program has the DOALL/DO nest the adaptive layer
@@ -169,7 +180,7 @@ TEST(FlattendCli, ExceptionBarrierExitsFourWithDiagnostic) {
 }
 
 TEST(FlattendCli, HealthCheckReportsOkAndExitsZero) {
-  for (const char *Eng : {"bytecode", "hostsimd"}) {
+  for (const char *Eng : {"bytecode", "native"}) {
     CliResult R =
         runFlattend(std::string("--health --engine=") + Eng, "");
     EXPECT_EQ(R.ExitCode, 0) << Eng << ":\n" << R.Output;

@@ -33,6 +33,7 @@
 #include "interp/StatsJson.h"
 #include "ir/Printer.h"
 #include "ir/Walk.h"
+#include "support/Cli.h"
 #include "support/Json.h"
 #include "transform/Flatten.h"
 #include "transform/Pipeline.h"
@@ -40,7 +41,6 @@
 #include "transform/Simdize.h"
 #include "transform/Simplify.h"
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -51,6 +51,8 @@
 #include <vector>
 
 using namespace simdflat;
+using cli::optionValue;
+using cli::parseInt;
 
 namespace {
 
@@ -95,13 +97,12 @@ void usage() {
       "                         pick the strategy, then build and run it\n"
       "  --analyze              print the loop-nest analysis and exit\n"
       "  --run                  execute on the SIMD simulator\n"
-      "  --engine=tree|bytecode|hostsimd|native\n"
+      "  --engine=%s\n"
       "                         interpreter engine for --run (default\n"
       "                         bytecode; tree is the reference oracle,\n"
-      "                         hostsimd maps lanes onto host vector\n"
-      "                         lanes, native JIT-compiles the schedule\n"
-      "                         to host loops and falls back to\n"
-      "                         bytecode without a toolchain)\n"
+      "                         native JIT-compiles the schedule to\n"
+      "                         host loops and falls back to bytecode\n"
+      "                         without a toolchain)\n"
       "  --dump-bytecode        disassemble the lowered bytecode of the\n"
       "                         emitted program to stdout\n"
       "  --lanes=N              simulator lanes (with --run, N >= 1)\n"
@@ -112,21 +113,8 @@ void usage() {
       "  --set NAME=V           set an integer input (with --run)\n"
       "  --set-array NAME=a,b,c set an integer array input (with --run)\n"
       "exit codes: 0 success, 1 front-end/pipeline error, 2 bad command\n"
-      "line, 3 runtime trap, 4 internal error\n");
-}
-
-/// Strict base-10 integer parse of all of \p S; rejects empty strings,
-/// trailing junk, and out-of-range values.
-bool parseInt(const std::string &S, int64_t &Out) {
-  if (S.empty())
-    return false;
-  errno = 0;
-  char *End = nullptr;
-  long long V = std::strtoll(S.c_str(), &End, 10);
-  if (End != S.c_str() + S.size() || errno == ERANGE)
-    return false;
-  Out = V;
-  return true;
+      "line, 3 runtime trap, 4 internal error\n",
+      interp::engineNameList().c_str());
 }
 
 [[nodiscard]] bool cliError(const char *Fmt, const std::string &Arg) {
@@ -134,16 +122,6 @@ bool parseInt(const std::string &S, int64_t &Out) {
   std::fprintf(stderr, "\n");
   usage();
   return false;
-}
-
-/// Value of a `--opt=value` argument; fails (rather than returning the
-/// whole argument) when the '=' is missing.
-bool optionValue(const std::string &A, std::string &Out) {
-  size_t Eq = A.find('=');
-  if (Eq == std::string::npos)
-    return false;
-  Out = A.substr(Eq + 1);
-  return true;
 }
 
 bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
@@ -195,9 +173,9 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       Opts.DumpBytecode = true;
     } else if (A.rfind("--engine", 0) == 0) {
       if (!optionValue(A, V) || !interp::engineFromName(V, Opts.Eng))
-        return cliError("flattenc: --engine expects "
-                        "tree|bytecode|hostsimd|native, "
-                        "got '%s'",
+        return cliError(("flattenc: --engine expects " +
+                         interp::engineNameList() + ", got '%s'")
+                            .c_str(),
                         A);
     } else if (A.rfind("--lanes", 0) == 0) {
       if (!optionValue(A, V) || !parseInt(V, Opts.Lanes) ||

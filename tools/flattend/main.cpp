@@ -28,7 +28,7 @@
 ///            --telemetry=serve.log < requests.jsonl   (one line)
 ///   flattend --fault-compile-failures=2 --fault-evict-mid-flight
 ///            < requests.jsonl   (fault drill: must still add up)
-///   flattend --health --engine=hostsimd
+///   flattend --health --engine=native
 ///
 /// Exit codes: 0 success, 1 unhealthy (--health only), 2 bad command
 /// line, 4 internal error (the exception barrier fired), 5 accounting
@@ -38,6 +38,7 @@
 
 #include "serve/ServeJson.h"
 #include "serve/Server.h"
+#include "support/Cli.h"
 #include "support/Json.h"
 
 #include <algorithm>
@@ -56,6 +57,8 @@
 #include <unistd.h>
 
 using namespace simdflat;
+using cli::optionValue;
+using cli::parseInt;
 
 namespace {
 
@@ -139,12 +142,11 @@ void usage() {
       "                           age out (default 0: accumulate every\n"
       "                           probe since the last decision)\n"
       "  --layout=cyclic|block    lane layout (default cyclic)\n"
-      "  --engine=tree|bytecode|hostsimd|native\n"
+      "  --engine=%s\n"
       "                           execution engine (default bytecode;\n"
-      "                           hostsimd maps lanes onto host vector\n"
-      "                           lanes, native JIT-compiles schedules\n"
-      "                           to host loops and degrades to\n"
-      "                           bytecode without a toolchain)\n"
+      "                           native JIT-compiles schedules to host\n"
+      "                           loops and degrades to bytecode\n"
+      "                           without a toolchain)\n"
       "  --telemetry=PATH         append one accounting record per reply\n"
       "  --health                 self-check (compile + run a probe\n"
       "                           program), print one status line, exit\n"
@@ -161,19 +163,8 @@ void usage() {
       "                           fault drill: pretend every cached\n"
       "                           program costs N bytes\n"
       "exit codes: 0 success, 1 unhealthy (--health), 2 bad command\n"
-      "line, 4 internal error, 5 accounting inconsistency\n");
-}
-
-bool parseInt(const std::string &S, int64_t &Out) {
-  if (S.empty())
-    return false;
-  errno = 0;
-  char *End = nullptr;
-  long long V = std::strtoll(S.c_str(), &End, 10);
-  if (End != S.c_str() + S.size() || errno == ERANGE)
-    return false;
-  Out = V;
-  return true;
+      "line, 4 internal error, 5 accounting inconsistency\n",
+      interp::engineNameList().c_str());
 }
 
 [[nodiscard]] bool cliError(const char *Fmt, const std::string &Arg) {
@@ -181,14 +172,6 @@ bool parseInt(const std::string &S, int64_t &Out) {
   std::fprintf(stderr, "\n");
   usage();
   return false;
-}
-
-bool optionValue(const std::string &A, std::string &Out) {
-  size_t Eq = A.find('=');
-  if (Eq == std::string::npos)
-    return false;
-  Out = A.substr(Eq + 1);
-  return true;
 }
 
 bool intOption(const std::string &A, const char *Name, int64_t Min,
@@ -308,8 +291,9 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
                                         : machine::Layout::Cyclic;
     } else if (A.rfind("--engine", 0) == 0) {
       if (!optionValue(A, V) || !interp::engineFromName(V, Opts.Server.Eng))
-        return cliError("flattend: --engine expects "
-                        "tree|bytecode|hostsimd|native, got '%s'",
+        return cliError(("flattend: --engine expects " +
+                         interp::engineNameList() + ", got '%s'")
+                            .c_str(),
                         A);
     } else if (A.rfind("--telemetry", 0) == 0) {
       if (!optionValue(A, V) || V.empty())

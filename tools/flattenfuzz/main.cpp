@@ -32,9 +32,9 @@
 #include "interp/Trap.h"
 #include "ir/Printer.h"
 #include "ir/Walk.h"
+#include "support/Cli.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -42,6 +42,8 @@
 #include <string>
 
 using namespace simdflat;
+using cli::optionValue;
+using cli::parseInt;
 using namespace simdflat::fuzz;
 
 namespace {
@@ -55,7 +57,7 @@ struct CliOptions {
   std::string Campaign;          // "" or "faults"
   std::string OutDir = "";       // where shrunk divergences are written
   bool BreakGuardCache = false;  // seeded-bug demonstration switch
-  bool Native = false;           // quad-engine oracle (JIT per case)
+  bool Native = false;           // native oracle leg (JIT per case)
 };
 
 void usage() {
@@ -82,7 +84,7 @@ void usage() {
       "  --break-guard-cache\n"
       "                     seed the known GuardIntro-cache bug (the\n"
       "                     oracle must catch it; for demonstration)\n"
-      "  --native           quad-engine oracle: also run every variant\n"
+      "  --native           native oracle leg: also run every variant\n"
       "                     under Engine::Native (one host-compiler\n"
       "                     invocation per distinct program shape -\n"
       "                     keep --count small; degrades to bytecode\n"
@@ -91,31 +93,11 @@ void usage() {
       "command line or unreadable file\n");
 }
 
-bool parseInt(const std::string &S, int64_t &Out) {
-  if (S.empty())
-    return false;
-  errno = 0;
-  char *End = nullptr;
-  long long V = std::strtoll(S.c_str(), &End, 10);
-  if (End != S.c_str() + S.size() || errno == ERANGE)
-    return false;
-  Out = V;
-  return true;
-}
-
 [[nodiscard]] bool cliError(const char *Fmt, const std::string &Arg) {
   std::fprintf(stderr, Fmt, Arg.c_str());
   std::fprintf(stderr, "\n");
   usage();
   return false;
-}
-
-bool optionValue(const std::string &A, std::string &Out) {
-  size_t Eq = A.find('=');
-  if (Eq == std::string::npos)
-    return false;
-  Out = A.substr(Eq + 1);
-  return true;
 }
 
 bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {

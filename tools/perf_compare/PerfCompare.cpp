@@ -143,12 +143,12 @@ compareBenchJson(const json::Value &Base, const json::Value &New,
         "bench name mismatch: baseline '%s' vs new '%s'",
         benchName(Base).c_str(), R.BenchName.c_str())};
 
-  // Different engines (tree / bytecode / hostsimd / whatever comes
-  // next) model the same machine but spend real time differently;
-  // comparing their wall-clock (or mixing baselines regenerated under
-  // another engine) would be meaningless. The check is generic over the
-  // tag value - any two distinct non-empty tags refuse, so a hostsimd
-  // baseline diffs only against a hostsimd run - and stays permissive
+  // Different engines (tree / bytecode / native / whatever comes next)
+  // model the same machine but spend real time differently; comparing
+  // their wall-clock (or mixing baselines regenerated under another
+  // engine) would be meaningless. The check is generic over the tag
+  // value - any two distinct non-empty tags refuse, so a native
+  // baseline diffs only against a native run - and stays permissive
   // when either document predates the tag (seed baselines).
   {
     std::string BaseEng = benchEngine(Base), NewEng = benchEngine(New);
