@@ -6,10 +6,11 @@
 
 #include "bench/BenchReporter.h"
 
+#include "support/Cli.h"
+
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 using namespace simdflat;
 using namespace simdflat::bench;
@@ -17,32 +18,33 @@ using namespace simdflat::bench;
 BenchReporter::BenchReporter(std::string Name, int Argc, char **Argv)
     : BenchName(std::move(Name)),
       Start(std::chrono::steady_clock::now()) {
-  Smoke = std::getenv("SIMDFLAT_QUICK") != nullptr;
-  if (Argc > 0)
-    Args.push_back(Argv[0]);
   for (int I = 1; I < Argc; ++I) {
-    std::string_view A = Argv[I];
+    std::string A = Argv[I];
+    std::string V;
     if (A == "--smoke") {
       Smoke = true;
     } else if (A == "--json") {
       JsonPath = "BENCH_" + BenchName + ".json";
-    } else if (A.rfind("--json=", 0) == 0) {
-      JsonPath = std::string(A.substr(std::strlen("--json=")));
-      if (JsonPath.empty()) {
+    } else if (cli::optionValue(A, "--json", V)) {
+      if (V.empty()) {
         std::fprintf(stderr, "%s: --json= expects a path\n",
                      BenchName.c_str());
         std::exit(2);
       }
-    } else if (A.rfind("--engine=", 0) == 0) {
-      std::string V(A.substr(std::strlen("--engine=")));
+      JsonPath = V;
+    } else if (cli::optionValue(A, "--engine", V)) {
       if (!interp::engineFromName(V, Eng)) {
         std::fprintf(stderr, "%s: --engine= expects %s\n",
                      BenchName.c_str(), interp::engineNameList().c_str());
         std::exit(2);
       }
     } else {
-      // Not ours (e.g. a --benchmark_* flag): hand it back to the bench.
-      Args.push_back(Argv[I]);
+      std::fprintf(stderr,
+                   "%s: unknown argument '%s' (expected --smoke, "
+                   "--json[=PATH], --engine=%s)\n",
+                   BenchName.c_str(), A.c_str(),
+                   interp::engineNameList().c_str());
+      std::exit(2);
     }
   }
 }
@@ -73,17 +75,6 @@ void BenchReporter::recordRunStats(const std::string &Case,
          "accesses");
   record(Case, "work_utilization", S.workUtilization(), "ratio",
          /*Gate=*/true, Direction::HigherIsBetter);
-}
-
-void BenchReporter::recordLaneStats(const std::string &Case,
-                                    const native::LaneStats &S) {
-  record(Case, "steps", static_cast<double>(S.Steps), "steps");
-  record(Case, "active_lane_slots",
-         static_cast<double>(S.ActiveLaneSlots), "slots");
-  record(Case, "total_lane_slots", static_cast<double>(S.TotalLaneSlots),
-         "slots");
-  record(Case, "utilization", S.utilization(), "ratio", /*Gate=*/true,
-         Direction::HigherIsBetter);
 }
 
 void BenchReporter::recordTripHistogram(const std::string &Case,

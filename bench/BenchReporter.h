@@ -10,8 +10,11 @@
 ///
 ///   --json=<path>  write a machine-readable BENCH_<name>.json with all
 ///                  recorded metrics (schema: simdflat-bench-v1);
-///   --smoke        run a reduced grid (CI-sized), also implied by the
-///                  legacy SIMDFLAT_QUICK environment variable.
+///   --smoke        run a reduced grid (CI-sized);
+///   --engine=<e>   run on interpreter engine <e> (tree|bytecode|native).
+///
+/// Any other argument is a usage error: the reporter prints it and exits
+/// 2, so a misspelled flag never silently runs the default grid.
 ///
 /// Metrics are keyed (case, metric) and carry a `gate` flag: gated
 /// metrics are deterministic model outputs (steps, model cycles/seconds,
@@ -27,7 +30,6 @@
 #define SIMDFLAT_BENCH_BENCHREPORTER_H
 
 #include "interp/RunStats.h"
-#include "native/FlattenedLoop.h"
 #include "support/Json.h"
 
 #include <chrono>
@@ -57,16 +59,15 @@ struct BenchMetric {
 };
 
 /// Per-binary telemetry collector. Construct it first thing in main()
-/// with argv; it consumes --json/--smoke (leaving everything else for
-/// the bench, e.g. google-benchmark flags) and writes the JSON file in
-/// finish().
+/// with argv; it parses the whole command line (exiting 2 on anything
+/// it does not know) and writes the JSON file in finish().
 class BenchReporter {
 public:
   /// \p BenchName is the binary's short name ("table1_runtime"); the
   /// default JSON filename is BENCH_<BenchName>.json.
   BenchReporter(std::string BenchName, int Argc, char **Argv);
 
-  /// Reduced-grid mode: --smoke or SIMDFLAT_QUICK.
+  /// Reduced-grid mode: --smoke.
   bool smoke() const { return Smoke; }
 
   /// Interpreter engine selected by --engine= (a name from
@@ -80,10 +81,6 @@ public:
   /// user-selectable; call before finish() so meta.engine matches what
   /// actually ran.
   void setEngine(interp::Engine E) { Eng = E; }
-
-  /// argc/argv with the reporter's own flags removed (argv[0] kept).
-  int argc() const { return static_cast<int>(Args.size()); }
-  char **argv() { return Args.data(); }
 
   /// Free-form run metadata (grid sizes, machine names, ...).
   void meta(const std::string &Key, const std::string &Value);
@@ -99,11 +96,6 @@ public:
   /// (work_steps, instructions, cycles, model_seconds, comm_accesses,
   /// work_utilization), all gated.
   void recordRunStats(const std::string &Case, const interp::RunStats &S);
-
-  /// Expands native-driver lane accounting (steps, active/total lane
-  /// slots, utilization), all gated.
-  void recordLaneStats(const std::string &Case,
-                       const native::LaneStats &S);
 
   /// Expands a per-nest trip histogram into trip_hist_* counters
   /// (samples, sum, max, mean plus occupied buckets). Histogram shape
@@ -145,7 +137,6 @@ private:
   bool Smoke = false;
   bool Passed = true;
   bool Finished = false;
-  std::vector<char *> Args;
   std::vector<std::pair<std::string, json::Value>> Meta;
   std::vector<BenchMetric> Metrics;
   std::chrono::steady_clock::time_point Start;

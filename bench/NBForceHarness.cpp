@@ -6,8 +6,6 @@
 #include "interp/SimdInterp.h"
 #include "support/Error.h"
 
-#include <cstdlib>
-
 using namespace simdflat;
 using namespace simdflat::bench;
 using namespace simdflat::interp;
@@ -24,8 +22,6 @@ const char *bench::loopVersionName(LoopVersion V) {
   }
   SIMDFLAT_UNREACHABLE("bad LoopVersion");
 }
-
-bool bench::quickMode() { return std::getenv("SIMDFLAT_QUICK") != nullptr; }
 
 NBForceExperiment::NBForceExperiment(int64_t NMax)
     : NMax(NMax), Mol(Molecule::syntheticSOD()) {}

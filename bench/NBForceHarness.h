@@ -94,10 +94,6 @@ private:
   std::map<double, CachedInputs> Inputs;
 };
 
-/// True when the SIMDFLAT_QUICK environment variable requests reduced
-/// parameter grids.
-bool quickMode();
-
 } // namespace bench
 } // namespace simdflat
 

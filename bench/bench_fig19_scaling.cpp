@@ -25,13 +25,13 @@ using namespace simdflat::bench;
 
 int main(int argc, char **argv) {
   BenchReporter Rep("fig19_scaling", argc, argv);
-  bool Quick = quickMode() || Rep.smoke();
+  bool Smoke = Rep.smoke();
   NBForceExperiment E;
   E.setEngine(Rep.engine());
-  std::vector<double> Cutoffs = Quick
+  std::vector<double> Cutoffs = Smoke
                                     ? std::vector<double>{8.0}
                                     : std::vector<double>{8.0, 16.0};
-  std::vector<int64_t> Procs = Quick
+  std::vector<int64_t> Procs = Smoke
                                    ? std::vector<int64_t>{2048, 8192}
                                    : std::vector<int64_t>{1024, 2048, 4096,
                                                           8192};

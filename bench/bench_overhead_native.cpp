@@ -1,122 +1,182 @@
 //===- bench/bench_overhead_native.cpp -------------------------*- C++ -*-===//
 //
-// google-benchmark measurement of the Sec. 6 profitability claim on a
-// modern CPU: "the additional overhead caused by loop flattening is, in
-// the worst case, to manipulate two flags and to perform two conditional
-// jumps" per iteration. Compares, per body execution:
+// The Sec. 6 profitability claim measured on the code the system runs:
+// "the additional overhead caused by loop flattening is, in the worst
+// case, to manipulate two flags and to perform two conditional jumps"
+// per iteration, plus the Eq. 1 vs Eq. 2 lane-slot gap. The EXAMPLE
+// nest (K = 4096 rows, seeded trip counts of mean 12) goes through the
+// real pipeline twice - unflattened (PipelineOptions::Flatten = false)
+// and flattened - and each build runs on the engine --engine= selects
+// (tree, bytecode, or native: the JIT-compiled loops) at two widths:
 //
-//   nested     - the plain two-level nest;
-//   flattened  - the fused single loop (paper's overhead budget);
-//   padded<8>  - the unflattened masked lane schedule (Eq. 2 slots);
-//   flatlane<8>- the flattened lane schedule (Eq. 1 slots).
+//   lanes=1 - no lane is ever idle, so flattened over unflattened wall
+//             time is the per-iteration cost of the fused loop;
+//   lanes=8 - lane_slots (RunStats::WorkTotalLanes) is Eq. 2 for the
+//             unflattened build and Eq. 1 for the flattened one.
 //
-// The first pair shows the overhead is a few cycles; the second pair
-// shows the step-count savings under lane masking.
+// lane_slots and the model counters are gated: they are deterministic
+// and identical on every engine. Wall times and the flattened /
+// unflattened ratios ride along ungated. K is the same under --smoke,
+// so the gated values do not depend on the mode. The timed unit is one
+// whole SimdInterp run (store setup included); with --engine=native
+// the JIT compile happens before any clock starts.
+//
+// The bench fails unless every run does exactly sum(trips) useful lane
+// slots, flattening never costs lane slots, and both builds leave the
+// same X.
 //
 //===----------------------------------------------------------------------===//
 
-#include "bench/GoogleBenchAdapter.h"
-#include "native/FlattenedLoop.h"
+#include "bench/BenchReporter.h"
+#include "codegen/NativeEngine.h"
+#include "interp/SimdInterp.h"
+#include "support/Format.h"
+#include "support/Table.h"
+#include "transform/Pipeline.h"
+#include "workloads/PaperKernels.h"
 #include "workloads/TripCounts.h"
 
-#include <benchmark/benchmark.h>
-
+#include <cstdio>
+#include <cstdlib>
+#include <numeric>
+#include <string>
 #include <vector>
 
 using namespace simdflat;
-using namespace simdflat::native;
+using namespace simdflat::interp;
 using namespace simdflat::workloads;
 
 namespace {
 
-constexpr int64_t N = 4096;
+constexpr int64_t K = 4096;
 constexpr int64_t Mean = 12;
+constexpr uint64_t TripSeed = 123;
 
-struct Workload {
-  std::vector<int64_t> Trips;
-  std::vector<double> Data;
-  int64_t Total = 0;
-
-  explicit Workload(TripDist D) {
-    Trips = generateTripCounts(D, N, Mean, 123);
-    for (int64_t T : Trips)
-      Total += T;
-    Data.assign(static_cast<size_t>(N), 1.0);
-  }
-};
-
-/// A small but non-trivial body: accumulate into the row's slot.
-struct RowAccumulate {
-  std::vector<double> &Data;
-  void operator()(int64_t O, int64_t I) const {
-    Data[static_cast<size_t>(O)] += 1.0 / static_cast<double>(I + 1);
-  }
-};
-
-void BM_Nested(benchmark::State &State, TripDist D) {
-  Workload W(D);
-  auto T = [&W](int64_t O) { return W.Trips[static_cast<size_t>(O)]; };
-  for (auto _ : State) {
-    nestedForEach(N, T, RowAccumulate{W.Data});
-    benchmark::DoNotOptimize(W.Data.data());
-  }
-  State.SetItemsProcessed(State.iterations() * W.Total);
+machine::MachineConfig machineFor(int64_t Lanes) {
+  machine::MachineConfig M;
+  M.Name = "overhead";
+  M.Processors = Lanes;
+  M.Gran = Lanes;
+  M.DataLayout = machine::Layout::Cyclic;
+  return M;
 }
 
-void BM_FlattenedScalar(benchmark::State &State, TripDist D) {
-  Workload W(D);
-  auto T = [&W](int64_t O) { return W.Trips[static_cast<size_t>(O)]; };
-  for (auto _ : State) {
-    flattenedScalar(N, T, RowAccumulate{W.Data});
-    benchmark::DoNotOptimize(W.Data.data());
+transform::CompiledSimdProgram compileOrDie(const ir::Program &P,
+                                            bool Flatten) {
+  transform::PipelineOptions PO;
+  PO.Layout = machine::Layout::Cyclic;
+  PO.Flatten = Flatten;
+  PO.AssumeInnerMinOneTrip = true;
+  auto C = transform::compileForSimdExec(P, PO);
+  if (!C) {
+    std::fprintf(stderr, "overhead_native: %s\n",
+                 C.error().render().c_str());
+    std::exit(1);
   }
-  State.SetItemsProcessed(State.iterations() * W.Total);
-}
-
-void BM_PaddedLanes(benchmark::State &State, TripDist D) {
-  Workload W(D);
-  auto T = [&W](int64_t O) { return W.Trips[static_cast<size_t>(O)]; };
-  int64_t Slots = 0;
-  for (auto _ : State) {
-    LaneStats S = paddedForEach<8>(N, T, RowAccumulate{W.Data});
-    Slots = S.TotalLaneSlots;
-    benchmark::DoNotOptimize(W.Data.data());
-  }
-  State.counters["lane_slots"] =
-      benchmark::Counter(static_cast<double>(Slots));
-  State.SetItemsProcessed(State.iterations() * W.Total);
-}
-
-void BM_FlattenedLanes(benchmark::State &State, TripDist D) {
-  Workload W(D);
-  auto T = [&W](int64_t O) { return W.Trips[static_cast<size_t>(O)]; };
-  int64_t Slots = 0;
-  for (auto _ : State) {
-    LaneStats S = flattenedForEach<8>(N, T, RowAccumulate{W.Data});
-    Slots = S.TotalLaneSlots;
-    benchmark::DoNotOptimize(W.Data.data());
-  }
-  State.counters["lane_slots"] =
-      benchmark::Counter(static_cast<double>(Slots));
-  State.SetItemsProcessed(State.iterations() * W.Total);
+  return std::move(*C);
 }
 
 } // namespace
 
-BENCHMARK_CAPTURE(BM_Nested, geometric, TripDist::Geometric);
-BENCHMARK_CAPTURE(BM_FlattenedScalar, geometric, TripDist::Geometric);
-BENCHMARK_CAPTURE(BM_PaddedLanes, geometric, TripDist::Geometric);
-BENCHMARK_CAPTURE(BM_FlattenedLanes, geometric, TripDist::Geometric);
-
-BENCHMARK_CAPTURE(BM_Nested, constant, TripDist::Constant);
-BENCHMARK_CAPTURE(BM_FlattenedScalar, constant, TripDist::Constant);
-
-BENCHMARK_CAPTURE(BM_PaddedLanes, bimodal, TripDist::Bimodal);
-BENCHMARK_CAPTURE(BM_FlattenedLanes, bimodal, TripDist::Bimodal);
-
 int main(int argc, char **argv) {
   bench::BenchReporter Rep("overhead_native", argc, argv);
-  Rep.meta("rows", N);
+  Rep.meta("rows", K);
   Rep.meta("mean_trips", Mean);
-  return bench::runGoogleBenchmarks(Rep);
+  const Engine Eng = Rep.engine();
+  const bool Native = Eng == Engine::Native && codegen::nativeAvailable();
+  if (Eng == Engine::Native && !Native)
+    std::printf("note: native codegen unavailable; native runs fall "
+                "back to bytecode\n");
+
+  TextTable T;
+  T.setHeader({"case", "lane slots", "active", "util", "wall s"});
+  TextTable Ratios;
+  Ratios.setHeader({"trips", "lanes", "flattened / unflattened wall"});
+  bool Ok = true;
+  auto fail = [&Ok](const std::string &Why) {
+    std::fprintf(stderr, "overhead_native: %s\n", Why.c_str());
+    Ok = false;
+  };
+
+  for (TripDist D :
+       {TripDist::Geometric, TripDist::Bimodal, TripDist::Constant}) {
+    const std::string Trips = tripDistName(D);
+    ExampleSpec Spec;
+    Spec.K = K;
+    Spec.L = generateTripCounts(D, K, Mean, TripSeed);
+    const int64_t TripSum =
+        std::accumulate(Spec.L.begin(), Spec.L.end(), int64_t{0});
+    ir::Program Source = makeExample(Spec);
+    const transform::CompiledSimdProgram Builds[2] = {
+        compileOrDie(Source, /*Flatten=*/false),
+        compileOrDie(Source, /*Flatten=*/true)};
+
+    for (int64_t Lanes : {int64_t{1}, int64_t{8}}) {
+      const machine::MachineConfig M = machineFor(Lanes);
+      const std::string Width = Trips + "/lanes=" + std::to_string(Lanes);
+      double Wall[2] = {0.0, 0.0};
+      int64_t Slots[2] = {0, 0};
+      std::vector<int64_t> X[2];
+      for (int F = 0; F < 2; ++F) {
+        const transform::CompiledSimdProgram &C = Builds[F];
+        const std::string Case =
+            Width + (F == 0 ? "/unflattened" : "/flattened");
+        if (Native && !codegen::prepareNative(*C.Code, C.Prog, M))
+          fail(Case + ": prepareNative failed with a toolchain present");
+
+        auto runOnce = [&](std::vector<int64_t> *Out) {
+          RunOptions Opts;
+          Opts.Eng = Eng;
+          Opts.WorkTargets = {"X"};
+          SimdInterp I(C.Prog, M, nullptr, Opts);
+          I.setCompiled(C.Code);
+          I.store().setInt("K", Spec.K);
+          I.store().setIntArray("L", Spec.L);
+          SimdRunResult R = I.run().value();
+          if (Out)
+            *Out = I.store().getIntArray("X");
+          return R;
+        };
+        SimdRunResult R = runOnce(&X[F]);
+        if (Native && R.EngineUsed != Engine::Native)
+          fail(Case + ": the run did not go native");
+        if (R.Stats.WorkActiveLanes != TripSum)
+          fail(Case + ": " + std::to_string(R.Stats.WorkActiveLanes) +
+               " active lane slots, want sum(trips) = " +
+               std::to_string(TripSum));
+        Slots[F] = R.Stats.WorkTotalLanes;
+        Rep.recordRunStats(Case, R.Stats);
+        Rep.record(Case, "lane_slots", static_cast<double>(Slots[F]),
+                   "slots");
+        Wall[F] = Rep.recordWallTime(
+            Case, [&] { runOnce(nullptr); }, /*Warmup=*/1,
+            /*Repeats=*/7);
+        T.addRow({Case, std::to_string(Slots[F]),
+                  std::to_string(R.Stats.WorkActiveLanes),
+                  formatf("%.3f", R.Stats.workUtilization()),
+                  formatf("%.5f", Wall[F])});
+      }
+      if (Slots[1] > Slots[0])
+        fail(Width + ": flattening raised lane slots from " +
+             std::to_string(Slots[0]) + " to " + std::to_string(Slots[1]));
+      if (X[0] != X[1])
+        fail(Width + ": unflattened and flattened builds disagree on X");
+      double Ratio = Wall[0] > 0.0 ? Wall[1] / Wall[0] : 0.0;
+      Rep.record(Width, "flattened_over_unflattened_wall", Ratio, "ratio",
+                 /*Gate=*/false);
+      Ratios.addRow({Trips, std::to_string(Lanes), formatf("%.2fx", Ratio)});
+    }
+  }
+
+  std::printf("Sec. 6 overhead on the %s engine: EXAMPLE, K = %lld, "
+              "mean trips %lld\n",
+              engineName(Eng), static_cast<long long>(K),
+              static_cast<long long>(Mean));
+  std::fputs(T.render().c_str(), stdout);
+  std::fputs(Ratios.render().c_str(), stdout);
+  std::printf("\n%s\n", Ok ? "PASS: active slots = sum(trips) and "
+                             "flattened slots <= unflattened everywhere"
+                           : "FAIL: see messages above");
+  Rep.setPassed(Ok);
+  return Rep.finish(Ok ? 0 : 1);
 }

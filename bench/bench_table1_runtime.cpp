@@ -5,7 +5,7 @@
 // flattened (Lf) loop versions, across machine sizes and cutoff radii,
 // plus the Sparc-2 sequential reference quoted in Sec. 5.5.
 //
-// Set SIMDFLAT_QUICK=1 for a reduced grid.
+// --smoke runs a reduced grid.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,13 +23,13 @@ using namespace simdflat::bench;
 
 int main(int argc, char **argv) {
   BenchReporter Rep("table1_runtime", argc, argv);
-  bool Quick = quickMode() || Rep.smoke();
+  bool Smoke = Rep.smoke();
   NBForceExperiment E;
   E.setEngine(Rep.engine());
   std::vector<double> Cutoffs =
-      Quick ? std::vector<double>{4.0, 8.0}
+      Smoke ? std::vector<double>{4.0, 8.0}
             : std::vector<double>{4.0, 8.0, 12.0, 16.0};
-  std::vector<int64_t> Procs = Quick
+  std::vector<int64_t> Procs = Smoke
                                    ? std::vector<int64_t>{8192}
                                    : std::vector<int64_t>{1024, 2048, 4096,
                                                           8192};
@@ -79,7 +79,7 @@ int main(int argc, char **argv) {
   // exceeded the workstation's memory in 1992).
   std::printf("\nSparc-2 sequential reference:\n");
   for (double C : Cutoffs) {
-    if (C > 8.0 && Quick)
+    if (C > 8.0 && Smoke)
       continue;
     NBRunResult R = E.runSparc(C);
     std::printf("  cutoff %4.1f A: %8.2f s (%lld force calls)\n", C,

@@ -33,14 +33,14 @@ machine::MachineConfig machineAt(int64_t Gran) {
 
 int main(int argc, char **argv) {
   BenchReporter Rep("table2_force_calls", argc, argv);
-  bool Quick = quickMode() || Rep.smoke();
+  bool Smoke = Rep.smoke();
   NBForceExperiment E;
   E.setEngine(Rep.engine());
   std::vector<double> Cutoffs =
-      Quick ? std::vector<double>{4.0, 8.0}
+      Smoke ? std::vector<double>{4.0, 8.0}
             : std::vector<double>{4.0, 8.0, 12.0, 16.0};
   std::vector<int64_t> Grans =
-      Quick
+      Smoke
           ? std::vector<int64_t>{1024, 8192}
           : std::vector<int64_t>{128, 256, 512, 1024, 2048, 4096, 8192};
   Rep.meta("molecule", "synthetic-SOD");

@@ -86,14 +86,16 @@ SfNativeRunFn buildOne(const std::string &Source, uint64_t Key,
                 static_cast<unsigned long long>(Key));
   std::filesystem::path So = Dir / (std::string(Name) + ".so");
   std::filesystem::path Cpp = Dir / (std::string(Name) + ".cpp");
-  std::filesystem::path Log = Dir / (std::string(Name) + ".log");
+  // Everything a compile writes before its final rename carries the pid:
+  // two processes building the same key into one directory must never
+  // share a temp object or a log.
+  const std::string Pid = std::to_string(static_cast<long>(::getpid()));
+  std::filesystem::path Log = Dir / (std::string(Name) + "." + Pid + ".log");
 
   if (!std::filesystem::exists(So, EC)) {
     // Write the source via temp + rename so a concurrent process never
     // compiles a half-written file.
-    std::filesystem::path Tmp =
-        Dir / (std::string(Name) + ".cpp.tmp" +
-               std::to_string(static_cast<long>(::getpid())));
+    std::filesystem::path Tmp = Dir / (std::string(Name) + ".cpp.tmp" + Pid);
     {
       std::ofstream Out(Tmp, std::ios::binary | std::ios::trunc);
       if (!Out)
@@ -117,7 +119,7 @@ SfNativeRunFn buildOne(const std::string &Source, uint64_t Key,
     // like the interpreter, so errno was already dead). Both keep every
     // operation individually IEEE-rounded. -w: generated code has
     // unused labels/locals by construction.
-    std::filesystem::path SoTmp = Dir / (std::string(Name) + ".so.tmp");
+    std::filesystem::path SoTmp = Dir / (std::string(Name) + ".so.tmp" + Pid);
     std::ostringstream Cmd;
     Cmd << "\"" << compilerPath() << "\""
         << " -std=c++20 -O3 -march=native -fno-math-errno -fPIC -shared"
@@ -125,12 +127,16 @@ SfNativeRunFn buildOne(const std::string &Source, uint64_t Key,
         << " -o \"" << SoTmp.string() << "\" \"" << Cpp.string() << "\""
         << " 2> \"" << Log.string() << "\"";
     if (std::system(Cmd.str().c_str()) != 0) {
+      // The log stays behind: it holds the compiler's diagnostics.
       std::filesystem::remove(SoTmp, EC);
       return nullptr;
     }
+    std::filesystem::remove(Log, EC);
     std::filesystem::rename(SoTmp, So, EC);
-    if (EC)
+    if (EC) {
+      std::filesystem::remove(SoTmp, EC);
       return nullptr;
+    }
     WasCompile = true;
     Bytes = static_cast<int64_t>(std::filesystem::file_size(So, EC));
   }

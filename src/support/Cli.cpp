@@ -23,10 +23,11 @@ bool cli::parseInt(const std::string &S, int64_t &Out) {
   return true;
 }
 
-bool cli::optionValue(const std::string &A, std::string &Out) {
-  size_t Eq = A.find('=');
-  if (Eq == std::string::npos)
+bool cli::optionValue(const std::string &A, std::string_view Name,
+                      std::string &Out) {
+  if (A.size() <= Name.size() || A.compare(0, Name.size(), Name) != 0 ||
+      A[Name.size()] != '=')
     return false;
-  Out = A.substr(Eq + 1);
+  Out = A.substr(Name.size() + 1);
   return true;
 }

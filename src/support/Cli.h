@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace simdflat {
 namespace cli {
@@ -23,9 +24,13 @@ namespace cli {
 /// trailing junk, and out-of-range values.
 bool parseInt(const std::string &S, int64_t &Out);
 
-/// Value of a `--opt=value` argument; fails (rather than returning the
-/// whole argument) when the '=' is missing.
-bool optionValue(const std::string &A, std::string &Out);
+/// Matches the argument \p A against the option \p Name (e.g.
+/// "--lanes"): true, with the text after the '=' in \p Out, exactly
+/// when \p A is `Name=value`. A longer flag that merely starts with
+/// \p Name ("--lanesfoo=2") or a bare "--lanes" does not match, so it
+/// falls through to the tool's unknown-option error.
+bool optionValue(const std::string &A, std::string_view Name,
+                 std::string &Out);
 
 } // namespace cli
 } // namespace simdflat

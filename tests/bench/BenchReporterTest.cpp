@@ -31,13 +31,28 @@ struct Argv {
   char **argv() { return Ptrs.data(); }
 };
 
-TEST(BenchReporter, ConsumesOwnFlagsLeavesRest) {
-  Argv A({"bench", "--smoke", "--benchmark_filter=x", "--json=/dev/null"});
+TEST(BenchReporter, ParsesOwnFlags) {
+  Argv A({"bench", "--smoke", "--engine=tree", "--json=/dev/null"});
   BenchReporter Rep("t", A.argc(), A.argv());
   EXPECT_TRUE(Rep.smoke());
-  ASSERT_EQ(Rep.argc(), 2);
-  EXPECT_STREQ(Rep.argv()[0], "bench");
-  EXPECT_STREQ(Rep.argv()[1], "--benchmark_filter=x");
+  EXPECT_EQ(Rep.engine(), interp::Engine::Tree);
+}
+
+TEST(BenchReporter, UnknownFlagExitsTwo) {
+  // Nothing is handed back to the bench any more: a stray flag, a known
+  // flag with a suffix, or a bad value is a usage error, never a silent
+  // full-grid run.
+  for (const char *Bad : {"--benchmark_filter=x", "--smokey",
+                          "--engine_typo=native", "--jsonx=/dev/null",
+                          "--engine=warp", "--json="}) {
+    EXPECT_EXIT(
+        {
+          Argv A({"bench", "--smoke", Bad});
+          BenchReporter Rep("t", A.argc(), A.argv());
+        },
+        testing::ExitedWithCode(2), "")
+        << Bad;
+  }
 }
 
 TEST(BenchReporter, SmokeSchemaDocument) {

@@ -21,7 +21,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <string>
+#include <sys/wait.h>
+#include <unistd.h>
 
 using namespace simdflat;
 using namespace simdflat::interp;
@@ -354,6 +359,119 @@ TEST(NativeEngine, DegradesToBytecodeWithoutCompiler) {
   if (codegen::jitAvailable()) {
     EXPECT_GE(codegen::jitStats().Failures, 1);
   }
+}
+
+TEST(NativeEngine, ConcurrentProcessesShareOneArtifactDir) {
+  // Two processes compile the same never-seen program into one fresh
+  // SIMDFLAT_JIT_DIR at the same moment (as test binaries run in
+  // parallel do on the default directory). Each must load a module and
+  // get bit-identical results, and no temp file may outlive the race.
+  // The compiler is wrapped to linger one second after writing its
+  // output, so both compiles have finished before either renames: a
+  // temp name shared between the processes cannot survive that.
+  if (!codegen::nativeAvailable())
+    GTEST_SKIP() << "no JIT in this build";
+  std::string Templ = testing::TempDir() + "/simdflat-jit-race-XXXXXX";
+  ASSERT_NE(::mkdtemp(Templ.data()), nullptr);
+  const std::filesystem::path Root = Templ;
+  const std::filesystem::path Dir = Root / "jit";
+  const std::filesystem::path Cc = Root / "slow-cc.sh";
+  if (FILE *F = std::fopen(Cc.c_str(), "w")) {
+    std::fprintf(F, "#!/bin/sh\n\"%s\" \"$@\" || exit $?\nsleep 1\n",
+                 SIMDFLAT_TEST_CXX);
+    std::fclose(F);
+  }
+  std::filesystem::permissions(Cc, std::filesystem::perms::owner_all);
+  ::setenv("SIMDFLAT_JIT_DIR", Dir.c_str(), 1);
+  ::setenv("SIMDFLAT_JIT_CC", Cc.c_str(), 1);
+
+  // K = 13 and 3 lanes appear in no other test, so neither this
+  // process's in-memory cache nor the directory can hold the module.
+  ExampleSpec Spec;
+  Spec.K = 13;
+  Spec.L = {5, 1, 4, 2, 7, 1, 3, 6, 2, 2, 9, 1, 4};
+  transform::PipelineOptions PO;
+  PO.AssumeInnerMinOneTrip = true;
+  auto C = transform::compileForSimdExec(makeExample(Spec), PO);
+  ASSERT_TRUE(static_cast<bool>(C));
+  const machine::MachineConfig M = lanes(3, machine::Layout::Cyclic);
+
+  int Go[2];
+  ASSERT_EQ(::pipe(Go), 0);
+  pid_t Kids[2];
+  int Out[2];
+  for (int K = 0; K < 2; ++K) {
+    int P[2];
+    ASSERT_EQ(::pipe(P), 0);
+    Kids[K] = ::fork();
+    ASSERT_GE(Kids[K], 0);
+    if (Kids[K] == 0) {
+      ::close(P[0]);
+      ::close(Go[1]);
+      char B;
+      if (::read(Go[0], &B, 1) != 1)
+        ::_exit(3);
+      codegen::JitStats Before = codegen::jitStats();
+      RunOptions O;
+      O.Eng = Engine::Native;
+      O.WorkTargets = {"X"};
+      SimdInterp Interp(C->Prog, M, nullptr, O);
+      Interp.setCompiled(C->Code);
+      Interp.store().setInt("K", Spec.K);
+      Interp.store().setIntArray("L", Spec.L);
+      SimdRunResult R = Interp.run().value();
+      codegen::JitStats After = codegen::jitStats();
+      // The module must come from this race (a compile, or the other
+      // process's artifact), never from an inherited in-memory entry.
+      char Buf[128];
+      std::snprintf(
+          Buf, sizeof(Buf), " loaded=%lld hits=%lld cycles=%a steps=%lld",
+          static_cast<long long>(After.Compiles + After.DiskHits -
+                                 Before.Compiles - Before.DiskHits),
+          static_cast<long long>(After.Hits - Before.Hits), R.Stats.Cycles,
+          static_cast<long long>(R.Stats.WorkSteps));
+      std::string Res = engineName(R.EngineUsed);
+      Res += Buf;
+      for (int64_t V : Interp.store().getIntArray("X"))
+        Res += " " + std::to_string(V);
+      bool Wrote = ::write(P[1], Res.data(), Res.size()) ==
+                   static_cast<ssize_t>(Res.size());
+      ::_exit(Wrote ? 0 : 4);
+    }
+    ::close(P[1]);
+    Out[K] = P[0];
+  }
+  ::close(Go[0]);
+  ASSERT_EQ(::write(Go[1], "gg", 2), 2);
+  ::close(Go[1]);
+
+  std::string Res[2];
+  for (int K = 0; K < 2; ++K) {
+    char Buf[4096];
+    ssize_t N;
+    while ((N = ::read(Out[K], Buf, sizeof(Buf))) > 0)
+      Res[K].append(Buf, static_cast<size_t>(N));
+    ::close(Out[K]);
+    int Status = 0;
+    ASSERT_EQ(::waitpid(Kids[K], &Status, 0), Kids[K]);
+    EXPECT_TRUE(WIFEXITED(Status) && WEXITSTATUS(Status) == 0) << Status;
+  }
+  ::unsetenv("SIMDFLAT_JIT_DIR");
+  ::unsetenv("SIMDFLAT_JIT_CC");
+
+  EXPECT_EQ(Res[0].rfind("native loaded=1 hits=0 ", 0), 0u) << Res[0];
+  EXPECT_EQ(Res[0], Res[1]);
+  int Modules = 0;
+  for (const auto &E : std::filesystem::directory_iterator(Dir)) {
+    std::string Name = E.path().filename().string();
+    std::string Ext = E.path().extension().string();
+    EXPECT_EQ(Name.find(".tmp"), std::string::npos) << Name;
+    // Only the source and the module: a log would mean a failed compile.
+    EXPECT_TRUE(Ext == ".so" || Ext == ".cpp") << Name;
+    Modules += Ext == ".so";
+  }
+  EXPECT_EQ(Modules, 1);
+  std::filesystem::remove_all(Root);
 }
 
 } // namespace

@@ -6,8 +6,6 @@
 
 #include "interp/StatsJson.h"
 
-#include "native/LaneStatsJson.h"
-
 #include <gtest/gtest.h>
 
 using namespace simdflat;
@@ -153,23 +151,6 @@ TEST(StatsJson, RunStatsRejectsWrongTypes) {
   ASSERT_TRUE(V.ok());
   EXPECT_FALSE(runStatsFromJson(*V).ok());
   EXPECT_FALSE(runStatsFromJson(json::Value(int64_t{1})).ok());
-}
-
-TEST(StatsJson, LaneStatsRoundTrip) {
-  native::LaneStats S;
-  S.Steps = 9;
-  S.ActiveLaneSlots = 30;
-  S.TotalLaneSlots = 36;
-  json::Value V = native::toJson(S);
-  auto Back = native::laneStatsFromJson(V);
-  ASSERT_TRUE(Back.ok()) << Back.error().render();
-  EXPECT_EQ(Back->Steps, 9);
-  EXPECT_EQ(Back->ActiveLaneSlots, 30);
-  EXPECT_EQ(Back->TotalLaneSlots, 36);
-  EXPECT_DOUBLE_EQ(Back->utilization(), S.utilization());
-  // The serialized utilization field matches the recomputed one.
-  ASSERT_NE(V.get("utilization"), nullptr);
-  EXPECT_DOUBLE_EQ(V.get("utilization")->asDouble(), S.utilization());
 }
 
 TEST(StatsJson, TraceSerializes) {

@@ -160,6 +160,25 @@ TEST(FlattencCli, EngineVariantsAgreeOnResults) {
   std::remove(Fix.c_str());
 }
 
+TEST(FlattencCli, KnownFlagWithSuffixExitsTwo) {
+  // An option matches only as `name=value`: a longer spelling that
+  // starts with a known name is an unknown option, never the known one
+  // with a stray suffix, and neither is the bare name without a value.
+  std::string Fix = writeNestFixture();
+  for (const char *Bad :
+       {"--enginexyz=tree", "--lanesfoo=2", "--fuel_x=5", "--emitx=flat",
+        "--levelx=general", "--layoutx=block", "--strategyx=flattened",
+        "--stats-jsonx=/dev/null", "--lanes"}) {
+    CliResult R = runFlattenc(std::string("--assume-min-one --run ") + Bad +
+                              " --set K=8 --set-array L=4,1,2,1,1,3,1,3 " +
+                              Fix);
+    EXPECT_EQ(R.ExitCode, 2) << Bad << ":\n" << R.Output;
+    EXPECT_NE(R.Output.find("unknown option"), std::string::npos)
+        << Bad << ":\n" << R.Output;
+  }
+  std::remove(Fix.c_str());
+}
+
 TEST(FlattencCli, AdaptiveTwoPassPicksFromTheProfile) {
   // One hot row on 4 lanes: the profiled distribution makes the
   // balanced coalesced schedule the model's winner. Uniform trips keep

@@ -122,6 +122,21 @@ TEST(FlattendCli, EngineFlagSelectsBackendAndIsEchoed) {
   }
 }
 
+TEST(FlattendCli, KnownFlagWithSuffixExitsTwo) {
+  // An option matches only as `name=value`, so a misspelled flag is a
+  // usage error before anything is served, not a known flag in disguise.
+  for (const char *Bad :
+       {"--workers-bogus=3", "--engine_typo=native", "--layoutx=block",
+        "--telemetryx=/dev/null", "--max-fuelx=5", "--workers"}) {
+    CliResult R = runFlattend(Bad, goodRequest(1) + "\n");
+    EXPECT_EQ(R.ExitCode, 2) << Bad << ":\n" << R.Output;
+    EXPECT_NE(R.Output.find("unknown option"), std::string::npos)
+        << Bad << ":\n" << R.Output;
+    EXPECT_EQ(R.Output.find("\"outcome\""), std::string::npos)
+        << Bad << ":\n" << R.Output;
+  }
+}
+
 /// A request whose program has the DOALL/DO nest the adaptive layer
 /// profiles; trips come from the L array.
 std::string nestRequest(int Id, const std::string &LValues) {

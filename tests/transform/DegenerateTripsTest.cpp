@@ -1,8 +1,7 @@
 //===- tests/transform/DegenerateTripsTest.cpp -----------------*- C++ -*-===//
 //
-// Degenerate trip-count differential sweep at the IR level, extending
-// the native-driver sweep in tests/native/FlattenedLoopTest.cpp: every
-// assignment of inner trip counts from {-1, 0, 1, k} must leave the
+// Degenerate trip-count differential sweep through the real pipeline:
+// every assignment of inner trip counts from {-1, 0, 1, k} must leave the
 // coalesced program, the flattened+SIMDized (and simplified) program,
 // and the scalar reference in exact agreement - stores and body counts
 // alike. Negative and zero rows execute no body iterations.

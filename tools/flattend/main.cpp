@@ -176,11 +176,11 @@ void usage() {
 
 bool intOption(const std::string &A, const char *Name, int64_t Min,
                int64_t &Out, bool &Matched) {
-  Matched = A.rfind(Name, 0) == 0;
+  std::string V;
+  Matched = optionValue(A, Name, V);
   if (!Matched)
     return true;
-  std::string V;
-  if (!optionValue(A, V) || !parseInt(V, Out) || Out < Min)
+  if (!parseInt(V, Out) || Out < Min)
     return cliError("flattend: bad value in '%s'", A);
   return true;
 }
@@ -191,10 +191,8 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
     int64_t Min;
     std::function<void(CliOptions &, int64_t)> Apply;
   };
-  // Order matters for prefix matching: longer names before their
-  // prefixes (--cache-tenant-bytes before --cache-bytes is not needed -
-  // rfind matches whole-name prefixes - but --tenant-max-in-flight vs
-  // --tenant-max-queued are disjoint).
+  // Each name matches only as `name=value` (cli::optionValue), so the
+  // order of this table does not matter.
   static const IntFlag IntFlags[] = {
       {"--workers", 1,
        [](CliOptions &O, int64_t N) { O.Server.Workers = (int)N; }},
@@ -283,20 +281,20 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       Opts.Server.Adaptive = true;
     } else if (A == "--health") {
       Opts.Health = true;
-    } else if (A.rfind("--layout", 0) == 0) {
-      if (!optionValue(A, V) || (V != "cyclic" && V != "block"))
+    } else if (optionValue(A, "--layout", V)) {
+      if (V != "cyclic" && V != "block")
         return cliError("flattend: --layout expects cyclic|block, got '%s'",
                         A);
       Opts.Server.Layout = V == "block" ? machine::Layout::Block
                                         : machine::Layout::Cyclic;
-    } else if (A.rfind("--engine", 0) == 0) {
-      if (!optionValue(A, V) || !interp::engineFromName(V, Opts.Server.Eng))
+    } else if (optionValue(A, "--engine", V)) {
+      if (!interp::engineFromName(V, Opts.Server.Eng))
         return cliError(("flattend: --engine expects " +
                          interp::engineNameList() + ", got '%s'")
                             .c_str(),
                         A);
-    } else if (A.rfind("--telemetry", 0) == 0) {
-      if (!optionValue(A, V) || V.empty())
+    } else if (optionValue(A, "--telemetry", V)) {
+      if (V.empty())
         return cliError("flattend: --telemetry expects a non-empty path, "
                         "got '%s'",
                         A);
