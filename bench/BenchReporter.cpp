@@ -18,35 +18,24 @@ using namespace simdflat::bench;
 BenchReporter::BenchReporter(std::string Name, int Argc, char **Argv)
     : BenchName(std::move(Name)),
       Start(std::chrono::steady_clock::now()) {
-  for (int I = 1; I < Argc; ++I) {
-    std::string A = Argv[I];
-    std::string V;
-    if (A == "--smoke") {
-      Smoke = true;
-    } else if (A == "--json") {
-      JsonPath = "BENCH_" + BenchName + ".json";
-    } else if (cli::optionValue(A, "--json", V)) {
-      if (V.empty()) {
-        std::fprintf(stderr, "%s: --json= expects a path\n",
-                     BenchName.c_str());
-        std::exit(2);
-      }
-      JsonPath = V;
-    } else if (cli::optionValue(A, "--engine", V)) {
-      if (!interp::engineFromName(V, Eng)) {
-        std::fprintf(stderr, "%s: --engine= expects %s\n",
-                     BenchName.c_str(), interp::engineNameList().c_str());
-        std::exit(2);
-      }
-    } else {
-      std::fprintf(stderr,
-                   "%s: unknown argument '%s' (expected --smoke, "
-                   "--json[=PATH], --engine=%s)\n",
-                   BenchName.c_str(), A.c_str(),
-                   interp::engineNameList().c_str());
-      std::exit(2);
-    }
-  }
+  std::string DefaultJson = "BENCH_" + BenchName + ".json";
+  bool WantJson = false;
+  cli::Command Cmd{
+      "bench_" + BenchName,
+      "[options]",
+      {cli::flag("--smoke", Smoke, "run the reduced (CI-sized) grid"),
+       cli::flag("--json", WantJson,
+                 "write the simdflat-bench-v1 metrics to " + DefaultJson),
+       cli::text("--json", "PATH", JsonPath,
+                 "write the metrics to PATH instead"),
+       cli::engine(Eng, "interpreter engine (default bytecode)")},
+      {},
+      "exit codes: 0 pass, 1 check failed, 2 bad command line or unwritable "
+      "JSON\n"};
+  if (std::optional<int> Exit = cli::parse(Cmd, Argc, Argv))
+    std::exit(*Exit);
+  if (WantJson && JsonPath.empty())
+    JsonPath = DefaultJson;
 }
 
 void BenchReporter::meta(const std::string &Key, const std::string &V) {

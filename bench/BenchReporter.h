@@ -13,8 +13,9 @@
 ///   --smoke        run a reduced grid (CI-sized);
 ///   --engine=<e>   run on interpreter engine <e> (tree|bytecode|native).
 ///
-/// Any other argument is a usage error: the reporter prints it and exits
-/// 2, so a misspelled flag never silently runs the default grid.
+/// `--help` prints the usage and exits 0. Any other argument is a usage
+/// error: the reporter prints it and exits 2, so a misspelled flag never
+/// silently runs the default grid.
 ///
 /// Metrics are keyed (case, metric) and carry a `gate` flag: gated
 /// metrics are deterministic model outputs (steps, model cycles/seconds,

@@ -97,7 +97,9 @@ struct TripHistogram {
   /// Trip counts 0..NumExact-1 are counted exactly.
   static constexpr int64_t NumExact = 8;
   /// Buckets for trips >= NumExact: bucket b holds [2^(b+3), 2^(b+4)).
-  static constexpr int64_t NumLog2 = 61;
+  /// INT64_MAX lands in bucket 59, so 60 buckets cover every int64_t
+  /// and every bucket's Lo and Mid are representable.
+  static constexpr int64_t NumLog2 = 60;
   /// Serialization version of the histogram block (StatsJson).
   static constexpr int64_t Version = 1;
 

@@ -21,7 +21,7 @@ json::Value interp::toJson(const RunStats &S) {
   V.set("work_utilization", S.workUtilization());
   // Versioned telemetry block: per-nest trip histograms, present only
   // when the run recorded any. Log2 buckets are emitted sparsely (most
-  // of the 61 are empty); the version gates the bucketization scheme,
+  // of the 60 are empty); the version gates the bucketization scheme,
   // so a reader never mixes buckets laid out under different rules.
   if (!S.TripNests.empty()) {
     json::Value TH = json::Value::object();

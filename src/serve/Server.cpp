@@ -19,6 +19,9 @@ using Clock = std::chrono::steady_clock;
 
 namespace {
 
+/// Ceiling on the backoff between compile retries.
+constexpr int64_t BackoffCapMicros = 20'000;
+
 int64_t nanosSince(Clock::time_point Start) {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
                                                               Start)
@@ -440,15 +443,12 @@ void Server::recordObservedTrips(
                Opts.AdaptiveDriftThreshold;
     if (!Decide)
       return;
-    analysis::StrategyCosts Costs;
-    Costs.CoalesceMaxOuter = Opts.AdaptiveCoalesceMaxOuter;
-    Costs.CoalesceMaxTotal = Opts.AdaptiveCoalesceMaxTotal;
     analysis::TripDistribution Dist(Dom->Hist);
     analysis::StrategyChoice C = analysis::chooseStrategy(
-        Dist, std::max<int64_t>(Lanes, 1), Opts.Layout, Costs);
+        Dist, std::max<int64_t>(Lanes, 1), Opts.Layout,
+        transform::StrategyPolicy::coalesced().costs());
     Changed = S.Policy.has_value() && C.Primary != S.Policy->Chosen;
-    S.Policy = transform::StrategyPolicy::fromChoice(
-        C, Opts.AdaptiveCoalesceMaxOuter, Opts.AdaptiveCoalesceMaxTotal);
+    S.Policy = transform::StrategyPolicy::fromChoice(C);
     S.Snapshot = Dom->Hist;
     S.Window.clear();
     S.Ring.clear();
@@ -556,7 +556,7 @@ Reply Server::process(Job &J) {
               }
               // Exponential backoff between attempts, capped.
               int64_t Micros = Opts.BackoffBaseMicros << (Try - 1);
-              Micros = std::min(Micros, Opts.BackoffCapMicros);
+              Micros = std::min(Micros, BackoffCapMicros);
               if (Micros > 0)
                 std::this_thread::sleep_for(
                     std::chrono::microseconds(Micros));
@@ -608,18 +608,33 @@ Reply Server::process(Job &J) {
     // path.
     FB.Strategy.reset();
     transform::CanonicalKey FK = transform::canonicalKey(Prog, FB);
-    FallbackKey = FK.Hash;
-    ProgramCache::Outcome CO = Cache.getOrCompile(
-        FK.Hash,
+    auto CompileFallback =
         [&](int &Attempts)
-            -> Expected<transform::CompiledSimdProgram, CompileFailure> {
-          ++Attempts;
-          auto C = transform::compileForSimdExec(Prog, FB);
-          if (C)
-            return std::move(*C);
-          return CompileFailure{C.error().render(), false};
-        },
-        J.Tenant);
+        -> Expected<transform::CompiledSimdProgram, CompileFailure> {
+      ++Attempts;
+      auto C = transform::compileForSimdExec(Prog, FB);
+      if (C)
+        return std::move(*C);
+      return CompileFailure{C.error().render(), false};
+    };
+    ProgramCache::Outcome CO;
+    if (FK.Hash == PK.Hash) {
+      // The primary was this very program (an unflattened adaptive
+      // probe). Its entry holds only primary compiles: publishing the
+      // fallback there would let the next primary lookup hit it and
+      // hide a still-failing primary from the breaker and the fault
+      // drills. Compile it privately instead.
+      int Attempts = 0;
+      auto C = CompileFallback(Attempts);
+      if (C)
+        CO.Prog = std::make_shared<const transform::CompiledSimdProgram>(
+            std::move(*C));
+      else
+        CO.Error = C.error().Message;
+    } else {
+      FallbackKey = FK.Hash;
+      CO = Cache.getOrCompile(FK.Hash, CompileFallback, J.Tenant);
+    }
     if (!CO.Prog) {
       std::string Err = CO.Error;
       if (!PrimaryError.empty())

@@ -86,9 +86,8 @@ struct ServerOptions {
   /// transiently failing compile.
   int CompileRetries = 2;
   /// Exponential backoff between compile retries: base * 2^(try-1),
-  /// capped. Kept in microseconds so tests stay fast.
+  /// capped at 20 ms. Kept in microseconds so tests stay fast.
   int64_t BackoffBaseMicros = 200;
-  int64_t BackoffCapMicros = 20'000;
   /// Base retry hint attached to load-shed replies. Congestion sheds
   /// scale it by queue depth (base * (1 + depth/workers)); quota sheds
   /// use the bucket refill time when it is larger.
@@ -151,11 +150,6 @@ struct ServerOptions {
   /// drift detection, until the server restarts. Irrelevant while the
   /// decided strategy is Unflattened (every serve is then a probe).
   int64_t AdaptiveProbeEvery = 8;
-  /// Static bounds handed to the coalescing transform when the
-  /// adaptive layer selects Strategy::Coalesced (see
-  /// transform::StrategyPolicy).
-  int64_t AdaptiveCoalesceMaxOuter = 64;
-  int64_t AdaptiveCoalesceMaxTotal = 4096;
   CircuitBreaker::Options Breaker;
   FaultPlan Faults;
 };

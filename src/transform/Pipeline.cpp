@@ -17,6 +17,20 @@
 using namespace simdflat;
 using namespace simdflat::transform;
 
+namespace {
+
+/// The strategy \p Opts requests: an explicit policy overrides the
+/// legacy Flatten flag (which only distinguishes flattened vs
+/// unflattened).
+analysis::Strategy requestedStrategy(const PipelineOptions &Opts) {
+  if (Opts.Strategy)
+    return Opts.Strategy->Chosen;
+  return Opts.Flatten ? analysis::Strategy::Flattened
+                      : analysis::Strategy::Unflattened;
+}
+
+} // namespace
+
 std::string PipelineReport::summary() const {
   std::string Out;
   if (GotoLoopsRecovered > 0)
@@ -85,12 +99,7 @@ transform::compileForSimd(const ir::Program &P, PipelineOptions Opts,
       return PipelineError{"goto-recovery", std::move(Issues)};
   }
 
-  // Resolve the strategy seam: an explicit policy overrides the legacy
-  // Flatten flag (which only distinguishes flattened vs unflattened).
-  analysis::Strategy Strat =
-      Opts.Strategy ? Opts.Strategy->Chosen
-                    : (Opts.Flatten ? analysis::Strategy::Flattened
-                                    : analysis::Strategy::Unflattened);
+  analysis::Strategy Strat = requestedStrategy(Opts);
 
   // Coalesced build: run the inspector/executor rewrite on the
   // recovered nest. A successful coalesce replaces the nest with one
@@ -157,7 +166,6 @@ transform::compileForSimd(const ir::Program &P, PipelineOptions Opts,
     FlattenOptions FOpts;
     FOpts.Force = Opts.ForceLevel;
     FOpts.AssumeInnerMinOneTrip = MinOneSurvives;
-    FOpts.CheckSafety = Opts.CheckSafety;
     FOpts.DistributeOuter = Opts.Layout;
     // Keep the pre-flatten tree: a flatten that damages the program is
     // reverted and the pipeline falls back to the unflattened Fig. 5
@@ -238,25 +246,20 @@ CanonicalKey transform::canonicalKey(const ir::Program &P,
   K.Text = ir::printProgram(P);
   K.Text += "\n|layout=";
   K.Text += Opts.Layout == machine::Layout::Block ? "block" : "cyclic";
-  K.Text += "|flatten=";
-  K.Text += Opts.Flatten ? "1" : "0";
   K.Text += "|level=";
   K.Text += Opts.ForceLevel ? flattenLevelName(*Opts.ForceLevel) : "auto";
   K.Text += "|min-one=";
   K.Text += Opts.AssumeInnerMinOneTrip ? "1" : "0";
-  K.Text += "|safety=";
-  K.Text += Opts.CheckSafety ? "1" : "0";
   K.Text += "|explicit-normalize=";
   K.Text += Opts.ExplicitNormalize ? "1" : "0";
+  analysis::Strategy Strat = requestedStrategy(Opts);
   K.Text += "|strategy=";
-  if (Opts.Strategy) {
-    K.Text += analysis::strategyName(Opts.Strategy->Chosen);
+  K.Text += analysis::strategyName(Strat);
+  if (Strat == analysis::Strategy::Coalesced) {
     K.Text += "|coal-outer=";
     K.Text += std::to_string(Opts.Strategy->CoalesceMaxOuter);
     K.Text += "|coal-total=";
     K.Text += std::to_string(Opts.Strategy->CoalesceMaxTotal);
-  } else {
-    K.Text += "legacy";
   }
   // FNV-1a, 64-bit.
   uint64_t H = 1469598103934665603ull;

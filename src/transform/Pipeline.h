@@ -51,27 +51,41 @@ namespace transform {
 /// flattened build and records why. Every strategy ends in the same
 /// simdize + simplify tail, so the tree/fuzz oracles gate all three.
 struct StrategyPolicy {
+  /// Inspector bounds for callers that do not size them from a known
+  /// distribution (flattenc, the adaptive server).
+  static constexpr int64_t DefaultCoalesceMaxOuter = 64;
+  static constexpr int64_t DefaultCoalesceMaxTotal = 4096;
+
   analysis::Strategy Chosen = analysis::Strategy::Flattened;
   /// Static dimensions of the coalesce inspector arrays (Coalesced
   /// only). Runtime totals beyond them trap OutOfBounds, so pick them
   /// from the observed distribution with margin.
-  int64_t CoalesceMaxOuter = 64;
-  int64_t CoalesceMaxTotal = 4096;
+  int64_t CoalesceMaxOuter = DefaultCoalesceMaxOuter;
+  int64_t CoalesceMaxTotal = DefaultCoalesceMaxTotal;
 
   static StrategyPolicy unflattened() {
-    return {analysis::Strategy::Unflattened, 0, 0};
+    return {analysis::Strategy::Unflattened};
   }
   static StrategyPolicy flattened() {
-    return {analysis::Strategy::Flattened, 0, 0};
+    return {analysis::Strategy::Flattened};
   }
-  static StrategyPolicy coalesced(int64_t MaxOuter, int64_t MaxTotal) {
+  static StrategyPolicy
+  coalesced(int64_t MaxOuter = DefaultCoalesceMaxOuter,
+            int64_t MaxTotal = DefaultCoalesceMaxTotal) {
     return {analysis::Strategy::Coalesced, MaxOuter, MaxTotal};
   }
-  /// Adopts a ranked model verdict (bounds only matter for Coalesced).
-  static StrategyPolicy fromChoice(const analysis::StrategyChoice &C,
-                                   int64_t MaxOuter = 64,
-                                   int64_t MaxTotal = 4096) {
-    return {C.Primary, MaxOuter, MaxTotal};
+  /// Adopts a ranked model verdict under the default bounds.
+  static StrategyPolicy fromChoice(const analysis::StrategyChoice &C) {
+    return {C.Primary};
+  }
+  /// Cost-model settings whose coalesce eligibility limits are this
+  /// policy's inspector bounds, so the model never ranks first a
+  /// coalesced build that would trap.
+  analysis::StrategyCosts costs() const {
+    analysis::StrategyCosts Costs;
+    Costs.CoalesceMaxOuter = CoalesceMaxOuter;
+    Costs.CoalesceMaxTotal = CoalesceMaxTotal;
+    return Costs;
   }
 };
 
@@ -84,7 +98,6 @@ struct PipelineOptions {
   /// Forwarded to flattenNest.
   std::optional<FlattenLevel> ForceLevel;
   bool AssumeInnerMinOneTrip = false;
-  bool CheckSafety = true;
   /// Run the explicit Fig. 8/9 normalize + guard-introduction rewrites
   /// before flattening. Off by default: the flattener extracts the same
   /// normal form non-destructively through analysis::normalFormOf, so
@@ -166,6 +179,9 @@ compileForSimdExec(const ir::Program &P, PipelineOptions Opts = {},
 /// the compiled output, so two sources that parse to the same tree (and
 /// differ only in whitespace, comments or statement spelling the
 /// printer normalizes) share one cache entry; Hash is its FNV-1a digest.
+/// The strategy is encoded as resolved (the Flatten flag and an
+/// explicit policy naming the same build share a key), and the coalesce
+/// bounds only when the strategy is Coalesced.
 struct CanonicalKey {
   uint64_t Hash = 0;
   std::string Text;

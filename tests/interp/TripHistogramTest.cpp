@@ -47,8 +47,9 @@ TEST(TripHistogram, Log2BucketBoundaries) {
   EXPECT_EQ(TripHistogram::log2Bucket(31), 1);
   EXPECT_EQ(TripHistogram::log2Bucket(32), 2);
   EXPECT_EQ(TripHistogram::log2Bucket(1 << 20), 17); // [2^20, 2^21)
-  // Bucket lo/mid representatives stay inside the bucket.
-  for (int64_t B = 0; B < 20; ++B) {
+  // Bucket lo/mid representatives stay inside the bucket, for every
+  // bucket (the top one included: its edges must not overflow).
+  for (int64_t B = 0; B < TripHistogram::NumLog2; ++B) {
     int64_t Lo = TripHistogram::log2BucketLo(B);
     EXPECT_EQ(TripHistogram::log2Bucket(Lo), B);
     EXPECT_EQ(TripHistogram::log2Bucket(TripHistogram::log2BucketMid(B)), B);
@@ -57,7 +58,7 @@ TEST(TripHistogram, Log2BucketBoundaries) {
 
 TEST(TripHistogram, HugeTripsStayInRange) {
   // The largest representable trip lands in bucket 59 ([2^62, 2^63)),
-  // comfortably inside the 61 buckets - no overflow, no clamping loss.
+  // the last of the 60 buckets - no overflow, no clamping loss.
   int64_t Huge = std::numeric_limits<int64_t>::max();
   EXPECT_EQ(TripHistogram::log2Bucket(Huge), 59);
   TripHistogram H;

@@ -934,6 +934,53 @@ TEST(Server, AdaptiveFallbackStaysStaticAndFeedsNoProfile) {
   EXPECT_TRUE(St.consistent());
 }
 
+TEST(Server, AdaptiveFallbackSharesTheProbeEntry) {
+  // The unflattened program is one cache entry whether a probe or the
+  // fallback asks for it: once a probe has compiled it, a failing
+  // decided strategy falls back onto that entry instead of compiling a
+  // second copy.
+  ServerOptions SO;
+  SO.Workers = 1;
+  SO.Adaptive = true;
+  SO.AdaptiveMinSamples = 1;
+  SO.AdaptiveProbeEvery = 0; // no probes after the decision
+  SO.CompileRetries = 0;
+  SO.Faults.CompileFailures = 1; // each key's first attempt fails
+  Server S(SO);
+  const std::vector<int64_t> Skewed = {60, 1, 1, 1, 1, 1, 1, 1};
+  // 1: the probe's first attempt fails; the fallback compiles the same
+  //    program privately, so the probe's entry stays empty.
+  Reply R1 = getReply(S.submit(wideRequest(Skewed)));
+  ASSERT_EQ(R1.Out, Outcome::Served) << R1.Error;
+  EXPECT_TRUE(R1.Tele.Fallback);
+  EXPECT_EQ(S.cache().size(), 0u);
+  // 2: the probe compiles, publishes the unflattened entry and decides.
+  Reply R2 = getReply(S.submit(wideRequest(Skewed)));
+  ASSERT_EQ(R2.Out, Outcome::Served) << R2.Error;
+  EXPECT_FALSE(R2.Tele.Fallback);
+  EXPECT_EQ(R2.Tele.Strategy, "unflattened");
+  // 3: the decided strategy's first attempt fails; its fallback hits
+  //    the probe's entry.
+  Reply R3 = getReply(S.submit(wideRequest(Skewed)));
+  ASSERT_EQ(R3.Out, Outcome::Served) << R3.Error;
+  EXPECT_TRUE(R3.Tele.Fallback);
+  // 4: the decided strategy compiles: two programs, two entries.
+  Reply R4 = getReply(S.submit(wideRequest(Skewed)));
+  ASSERT_EQ(R4.Out, Outcome::Served) << R4.Error;
+  EXPECT_FALSE(R4.Tele.Fallback);
+  EXPECT_NE(R4.Tele.Strategy, "unflattened");
+  EXPECT_EQ(S.cache().size(), 2u);
+  ServerStats St = S.stats();
+  EXPECT_EQ(St.CacheHits, 1);
+  EXPECT_EQ(St.AdaptiveDecisions, 1);
+  EXPECT_TRUE(St.consistent());
+  for (const Reply *R : {&R1, &R2, &R3, &R4}) {
+    const std::vector<int64_t> &X = R->IntArrays.at("X");
+    EXPECT_EQ(std::accumulate(X.begin(), X.end(), int64_t{0}),
+              wideExpectedSum(Skewed));
+  }
+}
+
 TEST(Server, AdaptiveSurvivesCachePressureAndEviction) {
   // Respecialization under byte-budget pressure and mid-flight
   // eviction: strategy variants churn in and out of a tiny cache while

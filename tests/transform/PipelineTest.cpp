@@ -2,6 +2,7 @@
 
 #include "transform/Pipeline.h"
 
+#include "frontend/Parser.h"
 #include "interp/ScalarInterp.h"
 #include "interp/SimdInterp.h"
 #include "ir/Printer.h"
@@ -184,6 +185,102 @@ TEST(Pipeline, SummaryMentionsStages) {
   EXPECT_NE(S.find("recovered 1 GOTO loop"), std::string::npos);
   EXPECT_NE(S.find("flattened at the"), std::string::npos);
   EXPECT_NE(S.find("SIMDized"), std::string::npos);
+}
+
+PipelineOptions withStrategy(StrategyPolicy SP) {
+  PipelineOptions PO;
+  PO.Strategy = SP;
+  return PO;
+}
+
+TEST(CanonicalKey, EquivalentOptionsShareAKey) {
+  // The key names the build, not the spelling of the request: the
+  // legacy Flatten flag and the explicit policy for the same strategy
+  // compile identical programs, and bounds matter only when coalescing.
+  Program Ex = makeExample(paperExampleSpec());
+  PipelineOptions NoFlatten;
+  NoFlatten.Flatten = false;
+  PipelineOptions Flatten; // Flatten = true
+  const std::pair<PipelineOptions, PipelineOptions> Same[] = {
+      {NoFlatten, withStrategy(StrategyPolicy::unflattened())},
+      {Flatten, withStrategy(StrategyPolicy::flattened())},
+      // An explicit policy overrides the flag.
+      {withStrategy(StrategyPolicy::flattened()),
+       [] {
+         PipelineOptions PO = withStrategy(StrategyPolicy::flattened());
+         PO.Flatten = false;
+         return PO;
+       }()},
+      {withStrategy({analysis::Strategy::Flattened, 1, 2}),
+       withStrategy({analysis::Strategy::Flattened, 3, 4})},
+  };
+  for (const auto &[A, B] : Same) {
+    EXPECT_EQ(canonicalKey(Ex, A).Hash, canonicalKey(Ex, B).Hash)
+        << canonicalKey(Ex, A).Text << "\nvs\n" << canonicalKey(Ex, B).Text;
+    EXPECT_EQ(printProgram(compileForSimd(Ex, A).value()),
+              printProgram(compileForSimd(Ex, B).value()));
+  }
+}
+
+TEST(CanonicalKey, EveryOutputChangingOptionChangesTheKey) {
+  Program Ex = makeExample(paperExampleSpec());
+  const uint64_t Base = canonicalKey(Ex, {}).Hash;
+  std::vector<PipelineOptions> Variants(7);
+  Variants[0].Layout = machine::Layout::Block;
+  Variants[1].Flatten = false;
+  Variants[2].ForceLevel = FlattenLevel::General;
+  Variants[3].AssumeInnerMinOneTrip = true;
+  Variants[4].ExplicitNormalize = true;
+  Variants[5].Strategy = StrategyPolicy::coalesced();
+  Variants[6].Strategy = StrategyPolicy::coalesced(8, 64);
+  std::vector<uint64_t> Seen = {Base};
+  for (const PipelineOptions &PO : Variants) {
+    uint64_t H = canonicalKey(Ex, PO).Hash;
+    for (uint64_t Prev : Seen)
+      EXPECT_NE(H, Prev) << canonicalKey(Ex, PO).Text;
+    Seen.push_back(H);
+  }
+  // Different programs never share a key.
+  ExampleSpec Other = paperExampleSpec();
+  Other.K += 1;
+  Other.L.push_back(1);
+  EXPECT_NE(canonicalKey(makeExample(Other), {}).Hash, Base);
+}
+
+TEST(CanonicalKey, SpellingVariantsOfOneSourceShareAKey) {
+  const char *Plain = "PROGRAM P\n"
+                      "INTEGER K\n"
+                      "DISTRIBUTED INTEGER L(4)\n"
+                      "DISTRIBUTED INTEGER X(4, 4)\n"
+                      "INTEGER i\n"
+                      "INTEGER j\n"
+                      "BEGIN\n"
+                      "  DOALL i = 1, K\n"
+                      "    DO j = 1, L(i)\n"
+                      "      X(i, j) = i * j\n"
+                      "    ENDDO\n"
+                      "  ENDDO\n"
+                      "END\n";
+  const char *Spaced = "! the same nest, reformatted\n"
+                       "PROGRAM P\n"
+                       "INTEGER K\n"
+                       "DISTRIBUTED INTEGER L(4)   ! trip counts\n"
+                       "DISTRIBUTED INTEGER X(4,4)\n"
+                       "INTEGER i\n"
+                       "INTEGER j\n"
+                       "\n"
+                       "BEGIN\n"
+                       "DOALL i=1,K\n"
+                       "        DO j = 1 , L( i )\n"
+                       "X(i,j)=i*j\n"
+                       "ENDDO\n"
+                       "  ENDDO\n"
+                       "END\n";
+  frontend::ParseResult A = frontend::parseProgram(Plain);
+  frontend::ParseResult B = frontend::parseProgram(Spaced);
+  ASSERT_TRUE(A.ok()) << A.Diags.renderAll();
+  ASSERT_TRUE(B.ok()) << B.Diags.renderAll();
+  EXPECT_EQ(canonicalKey(*A.Prog).Hash, canonicalKey(*B.Prog).Hash);
 }
 
 } // namespace

@@ -51,15 +51,13 @@
 #include <vector>
 
 using namespace simdflat;
-using cli::optionValue;
-using cli::parseInt;
 
 namespace {
 
 struct CliOptions {
   std::string InputPath;
   std::string Emit = "simd"; // f77 | flat | simd
-  std::string Layout = "cyclic";
+  machine::Layout Layout = machine::Layout::Cyclic;
   std::optional<transform::FlattenLevel> Level;
   bool AssumeMinOne = false;
   bool NoFlatten = false;
@@ -77,192 +75,123 @@ struct CliOptions {
   std::vector<std::pair<std::string, std::vector<int64_t>>> SetArrays;
 };
 
-void usage() {
-  std::fprintf(
-      stderr,
-      "usage: flattenc [options] file.f\n"
-      "  --emit=f77|flat|simd   output stage (default simd)\n"
-      "  --level=general|optimized|done\n"
-      "                         pin the flattening level (Figs. 10-12)\n"
-      "  --assume-min-one       assert inner loops run at least once\n"
-      "  --layout=cyclic|block  lane layout for the parallel loop\n"
-      "  --no-flatten           SIMDize without flattening (Fig. 5 path)\n"
-      "  --strategy=unflattened|flattened|coalesced\n"
-      "                         build the nest under an explicit loop\n"
-      "                         strategy (with --emit=simd)\n"
-      "  --adaptive             two-pass profile-guided build (with\n"
-      "                         --run): execute the unflattened variant\n"
-      "                         on the given inputs to observe the trip\n"
-      "                         distribution, let the Sec. 6 cost model\n"
-      "                         pick the strategy, then build and run it\n"
-      "  --analyze              print the loop-nest analysis and exit\n"
-      "  --run                  execute on the SIMD simulator\n"
-      "  --engine=%s\n"
-      "                         interpreter engine for --run (default\n"
-      "                         bytecode; tree is the reference oracle,\n"
-      "                         native JIT-compiles the schedule to\n"
-      "                         host loops and falls back to bytecode\n"
-      "                         without a toolchain)\n"
-      "  --dump-bytecode        disassemble the lowered bytecode of the\n"
-      "                         emitted program to stdout\n"
-      "  --lanes=N              simulator lanes (with --run, N >= 1)\n"
-      "  --fuel=N               watchdog: trap after N instructions\n"
-      "                         (with --run; 0 = unlimited)\n"
-      "  --stats-json=PATH      dump pipeline stage outcomes (and, with\n"
-      "                         --run, interpreter RunStats) as JSON\n"
-      "  --set NAME=V           set an integer input (with --run)\n"
-      "  --set-array NAME=a,b,c set an integer array input (with --run)\n"
-      "exit codes: 0 success, 1 front-end/pipeline error, 2 bad command\n"
-      "line, 3 runtime trap, 4 internal error\n",
-      interp::engineNameList().c_str());
-}
-
-[[nodiscard]] bool cliError(const char *Fmt, const std::string &Arg) {
-  std::fprintf(stderr, Fmt, Arg.c_str());
-  std::fprintf(stderr, "\n");
-  usage();
-  return false;
-}
-
-bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
-  for (int I = 1; I < Argc; ++I) {
-    std::string A = Argv[I];
-    std::string V;
-    if (optionValue(A, "--emit", V)) {
-      if (V != "f77" && V != "flat" && V != "simd")
-        return cliError("flattenc: --emit expects f77|flat|simd, got '%s'",
-                        A);
-      Opts.Emit = V;
-    } else if (optionValue(A, "--level", V)) {
-      if (V == "general")
-        Opts.Level = transform::FlattenLevel::General;
-      else if (V == "optimized")
-        Opts.Level = transform::FlattenLevel::Optimized;
-      else if (V == "done")
-        Opts.Level = transform::FlattenLevel::DoneTest;
-      else
-        return cliError("flattenc: unknown level '%s'", V);
-    } else if (A == "--assume-min-one") {
-      Opts.AssumeMinOne = true;
-    } else if (optionValue(A, "--layout", V)) {
-      if (V != "cyclic" && V != "block")
-        return cliError("flattenc: --layout expects cyclic|block, got '%s'",
-                        A);
-      Opts.Layout = V;
-    } else if (A == "--no-flatten") {
-      Opts.NoFlatten = true;
-    } else if (optionValue(A, "--strategy", V)) {
-      analysis::Strategy St;
-      if (!analysis::strategyFromName(V, St))
-        return cliError("flattenc: --strategy expects unflattened|"
-                        "flattened|coalesced, got '%s'",
-                        A);
-      Opts.Strategy = St;
-    } else if (A == "--adaptive") {
-      Opts.Adaptive = true;
-    } else if (A == "--analyze") {
-      Opts.Analyze = true;
-    } else if (A == "--run") {
-      Opts.Run = true;
-    } else if (A == "--dump-bytecode") {
-      Opts.DumpBytecode = true;
-    } else if (optionValue(A, "--engine", V)) {
-      if (!interp::engineFromName(V, Opts.Eng))
-        return cliError(("flattenc: --engine expects " +
-                         interp::engineNameList() + ", got '%s'")
-                            .c_str(),
-                        A);
-    } else if (optionValue(A, "--lanes", V)) {
-      if (!parseInt(V, Opts.Lanes) || Opts.Lanes <= 0)
-        return cliError("flattenc: --lanes expects a positive integer, "
-                        "got '%s'",
-                        A);
-    } else if (optionValue(A, "--fuel", V)) {
-      if (!parseInt(V, Opts.Fuel) || Opts.Fuel < 0)
-        return cliError("flattenc: --fuel expects a non-negative integer, "
-                        "got '%s'",
-                        A);
-    } else if (optionValue(A, "--stats-json", V)) {
-      if (V.empty())
-        return cliError("flattenc: --stats-json expects a non-empty "
-                        "path, got '%s'",
-                        A);
-      Opts.StatsJsonPath = V;
-    } else if (A == "--set") {
-      if (I + 1 >= Argc)
-        return cliError("flattenc: %s expects a NAME=VALUE argument", A);
-      std::string KV = Argv[++I];
-      size_t Eq = KV.find('=');
-      int64_t Val = 0;
-      if (Eq == std::string::npos || Eq == 0 ||
-          !parseInt(KV.substr(Eq + 1), Val))
-        return cliError("flattenc: --set expects NAME=VALUE, got '%s'",
-                        KV);
-      Opts.Sets.emplace_back(KV.substr(0, Eq), Val);
-    } else if (A == "--set-array") {
-      if (I + 1 >= Argc)
-        return cliError("flattenc: %s expects a NAME=a,b,c argument", A);
-      std::string KV = Argv[++I];
-      size_t Eq = KV.find('=');
-      if (Eq == std::string::npos || Eq == 0)
-        return cliError("flattenc: --set-array expects NAME=a,b,c, "
-                        "got '%s'",
-                        KV);
-      std::vector<int64_t> Vals;
-      std::stringstream SS(KV.substr(Eq + 1));
-      std::string Item;
-      while (std::getline(SS, Item, ',')) {
-        int64_t Val = 0;
-        if (!parseInt(Item, Val))
-          return cliError("flattenc: bad integer in --set-array '%s'",
-                          KV);
-        Vals.push_back(Val);
-      }
-      if (Vals.empty())
-        return cliError("flattenc: --set-array expects at least one "
-                        "value, got '%s'",
-                        KV);
-      Opts.SetArrays.emplace_back(KV.substr(0, Eq), std::move(Vals));
-    } else if (A == "--test-throw") {
-      // Undocumented: fires the exception barrier so the CLI test can
-      // assert the structured-diagnostic + exit-4 contract.
-      Opts.TestThrow = true;
-    } else if (A == "--help" || A == "-h") {
-      usage();
-      return false;
-    } else if (!A.empty() && A[0] == '-') {
-      return cliError("flattenc: unknown option '%s'", A);
-    } else if (!Opts.InputPath.empty()) {
-      return cliError("flattenc: more than one input file ('%s')", A);
-    } else {
-      Opts.InputPath = A;
-    }
-  }
-  if (Opts.InputPath.empty()) {
-    usage();
+/// "NAME=..." split at the first '='; false without a non-empty NAME.
+bool splitAssignment(const std::string &KV, std::string &Name,
+                     std::string &Value) {
+  size_t Eq = KV.find('=');
+  if (Eq == std::string::npos || Eq == 0)
     return false;
-  }
-  if (Opts.Adaptive && Opts.Strategy) {
-    std::fprintf(stderr, "flattenc: --adaptive picks the strategy itself; "
-                         "drop --strategy\n");
-    usage();
-    return false;
-  }
-  if (Opts.Adaptive && !Opts.Run) {
-    std::fprintf(stderr, "flattenc: --adaptive profiles a real execution; "
-                         "it requires --run\n");
-    usage();
-    return false;
-  }
-  if ((Opts.Adaptive || Opts.Strategy) &&
-      (Opts.Emit != "simd" || Opts.NoFlatten)) {
-    std::fprintf(stderr, "flattenc: --strategy/--adaptive drive the full "
-                         "SIMD pipeline; they need --emit=simd and no "
-                         "--no-flatten\n");
-    usage();
-    return false;
-  }
+  Name = KV.substr(0, Eq);
+  Value = KV.substr(Eq + 1);
   return true;
+}
+
+/// Parses the command line into \p Opts; returns the exit code when the
+/// compiler should not run.
+std::optional<int> parseArgs(int Argc, char **Argv, CliOptions &Opts) {
+  cli::Command Cmd{
+      "flattenc",
+      "[options] file.f",
+      {cli::choice(
+           "--emit", {"f77", "flat", "simd"},
+           [&](const std::string &V) { Opts.Emit = V; },
+           "output stage (default simd)"),
+       cli::choice(
+           "--level", {"general", "optimized", "done"},
+           [&](const std::string &V) {
+             Opts.Level = V == "general"     ? transform::FlattenLevel::General
+                          : V == "optimized" ? transform::FlattenLevel::Optimized
+                                             : transform::FlattenLevel::DoneTest;
+           },
+           "pin the flattening level (Figs. 10-12)"),
+       cli::flag("--assume-min-one", Opts.AssumeMinOne,
+                 "assert inner loops run at least once"),
+       cli::layout(Opts.Layout, "lane layout for the parallel loop"),
+       cli::flag("--no-flatten", Opts.NoFlatten,
+                 "SIMDize without flattening (Fig. 5 path)"),
+       cli::choice(
+           "--strategy",
+           {analysis::strategyName(analysis::Strategy::Unflattened),
+            analysis::strategyName(analysis::Strategy::Flattened),
+            analysis::strategyName(analysis::Strategy::Coalesced)},
+           [&](const std::string &V) {
+             analysis::strategyFromName(V, Opts.Strategy.emplace());
+           },
+           "build the nest under an explicit loop strategy (with "
+           "--emit=simd)"),
+       cli::flag("--adaptive", Opts.Adaptive,
+                 "two-pass profile-guided build (with --run): execute the "
+                 "unflattened variant on the given inputs to observe the "
+                 "trip distribution, let the Sec. 6 cost model pick the "
+                 "strategy, then build and run it"),
+       cli::flag("--analyze", Opts.Analyze,
+                 "print the loop-nest analysis and exit"),
+       cli::flag("--run", Opts.Run, "execute on the SIMD simulator"),
+       cli::engine(Opts.Eng,
+                   "interpreter engine for --run (default bytecode; tree is "
+                   "the reference oracle, native JIT-compiles the schedule "
+                   "to host loops and falls back to bytecode without a "
+                   "toolchain)"),
+       cli::flag("--dump-bytecode", Opts.DumpBytecode,
+                 "disassemble the lowered bytecode of the emitted program "
+                 "to stdout"),
+       cli::integer("--lanes", "N", 1, Opts.Lanes,
+                    "simulator lanes (with --run)"),
+       cli::integer("--fuel", "N", 0, Opts.Fuel,
+                    "watchdog: trap after N instructions (with --run; 0 = "
+                    "unlimited)"),
+       cli::text("--stats-json", "PATH", Opts.StatsJsonPath,
+                 "dump pipeline stage outcomes (and, with --run, "
+                 "interpreter RunStats) as JSON"),
+       cli::nextArg(
+           "--set", "NAME=V",
+           [&](const std::string &KV) -> std::string {
+             std::string Name, V;
+             int64_t Val = 0;
+             if (!splitAssignment(KV, Name, V) || !cli::parseInt(V, Val))
+               return "--set expects NAME=VALUE, got '" + KV + "'";
+             Opts.Sets.emplace_back(Name, Val);
+             return "";
+           },
+           "set an integer input (with --run)"),
+       cli::nextArg(
+           "--set-array", "NAME=a,b,c",
+           [&](const std::string &KV) -> std::string {
+             std::string Name, List;
+             if (!splitAssignment(KV, Name, List) || List.empty())
+               return "--set-array expects NAME=a,b,c, got '" + KV + "'";
+             std::vector<int64_t> Vals;
+             std::stringstream SS(List);
+             std::string Item;
+             while (std::getline(SS, Item, ','))
+               if (!cli::parseInt(Item, Vals.emplace_back()))
+                 return "bad integer in --set-array '" + KV + "'";
+             Opts.SetArrays.emplace_back(Name, std::move(Vals));
+             return "";
+           },
+           "set an integer array input (with --run)"),
+       // Undocumented (no help text): fires the exception barrier so the
+       // CLI test can assert the structured-diagnostic + exit-4 contract.
+       cli::flag("--test-throw", Opts.TestThrow, "")},
+      {"file.f"},
+      "exit codes: 0 success, 1 front-end/pipeline error, 2 bad command\n"
+      "line, 3 runtime trap, 4 internal error\n"};
+  std::vector<std::string> Inputs;
+  if (std::optional<int> Exit = cli::parse(Cmd, Argc, Argv, &Inputs))
+    return Exit;
+  Opts.InputPath = Inputs[0];
+  if (Opts.Adaptive && Opts.Strategy)
+    return cli::fail(Cmd, "--adaptive picks the strategy itself; drop "
+                          "--strategy");
+  if (Opts.Adaptive && !Opts.Run)
+    return cli::fail(Cmd, "--adaptive profiles a real execution; it "
+                          "requires --run");
+  if ((Opts.Adaptive || Opts.Strategy) &&
+      (Opts.Emit != "simd" || Opts.NoFlatten))
+    return cli::fail(Cmd, "--strategy/--adaptive drive the full SIMD "
+                          "pipeline; they need --emit=simd and no "
+                          "--no-flatten");
+  return std::nullopt;
 }
 
 /// Checks a --set / --set-array name against the program's declarations
@@ -290,27 +219,34 @@ bool checkSetName(const ir::Program &P, const std::string &Name,
   return true;
 }
 
-/// Maps a cost-model verdict onto the pipeline policy that builds it.
-/// Coalesced builds get the standard static inspector bounds; the
-/// profiling pass already rejected distributions that exceed them.
-transform::StrategyPolicy policyFor(analysis::Strategy S) {
-  switch (S) {
-  case analysis::Strategy::Unflattened:
-    return transform::StrategyPolicy::unflattened();
-  case analysis::Strategy::Flattened:
-    return transform::StrategyPolicy::flattened();
-  case analysis::Strategy::Coalesced:
-    return transform::StrategyPolicy::coalesced(64, 4096);
+/// Checks every --set / --set-array against \p P: names, kinds and
+/// array lengths.
+bool checkInputs(const ir::Program &P, const CliOptions &Opts) {
+  for (const auto &[Name, V] : Opts.Sets)
+    if (!checkSetName(P, Name, /*WantArray=*/false))
+      return false;
+  for (const auto &[Name, Vals] : Opts.SetArrays) {
+    if (!checkSetName(P, Name, /*WantArray=*/true))
+      return false;
+    int64_t Want = P.lookupVar(Name)->numElements();
+    if (static_cast<int64_t>(Vals.size()) != Want) {
+      std::fprintf(stderr,
+                   "flattenc: --set-array '%s' expects %lld value(s), "
+                   "got %zu\n",
+                   Name.c_str(), static_cast<long long>(Want),
+                   Vals.size());
+      return false;
+    }
   }
-  return transform::StrategyPolicy::flattened();
+  return true;
 }
 
 } // namespace
 
 int realMain(int Argc, char **Argv) {
   CliOptions Opts;
-  if (!parseArgs(Argc, Argv, Opts))
-    return 2;
+  if (std::optional<int> Exit = parseArgs(Argc, Argv, Opts))
+    return *Exit;
   if (Opts.TestThrow)
     throw std::runtime_error("--test-throw requested");
 
@@ -334,10 +270,6 @@ int realMain(int Argc, char **Argv) {
   if (Recovered > 0)
     std::fprintf(stderr, "flattenc: recovered %d GOTO loop(s)\n",
                  Recovered);
-
-  machine::Layout Layout = Opts.Layout == "block"
-                               ? machine::Layout::Block
-                               : machine::Layout::Cyclic;
 
   // Telemetry accumulated along whichever path runs; flushed by
   // writeStats() at the successful exits.
@@ -399,7 +331,7 @@ int realMain(int Argc, char **Argv) {
       std::printf("flattening: not applicable: %s\n", FR.Reason.c_str());
     // Dry-run the full pipeline and report each stage's verification.
     transform::PipelineOptions PO;
-    PO.Layout = Layout;
+    PO.Layout = Opts.Layout;
     PO.Flatten = !Opts.NoFlatten;
     PO.AssumeInnerMinOneTrip = Opts.AssumeMinOne;
     transform::PipelineReport Rep;
@@ -429,7 +361,7 @@ int realMain(int Argc, char **Argv) {
   // hide the source skew). The verdict then drives the real build.
   if (Opts.Adaptive) {
     transform::PipelineOptions PPO;
-    PPO.Layout = Layout;
+    PPO.Layout = Opts.Layout;
     PPO.AssumeInnerMinOneTrip = Opts.AssumeMinOne;
     PPO.Strategy = transform::StrategyPolicy::unflattened();
     auto Profiled = transform::compileForSimd(P, PPO, nullptr);
@@ -438,27 +370,13 @@ int realMain(int Argc, char **Argv) {
                    Profiled.error().render().c_str());
       return 1;
     }
-    for (const auto &[Name, V] : Opts.Sets)
-      if (!checkSetName(*Profiled, Name, /*WantArray=*/false))
-        return 2;
-    for (const auto &[Name, Vals] : Opts.SetArrays) {
-      if (!checkSetName(*Profiled, Name, /*WantArray=*/true))
-        return 2;
-      int64_t Want = Profiled->lookupVar(Name)->numElements();
-      if (static_cast<int64_t>(Vals.size()) != Want) {
-        std::fprintf(stderr,
-                     "flattenc: --set-array '%s' expects %lld value(s), "
-                     "got %zu\n",
-                     Name.c_str(), static_cast<long long>(Want),
-                     Vals.size());
-        return 2;
-      }
-    }
+    if (!checkInputs(*Profiled, Opts))
+      return 2;
     machine::MachineConfig PM;
     PM.Name = "flattenc-profile";
     PM.Processors = Opts.Lanes;
     PM.Gran = Opts.Lanes;
-    PM.DataLayout = Layout;
+    PM.DataLayout = Opts.Layout;
     interp::RunOptions PRO;
     PRO.Fuel = Opts.Fuel;
     // The tree engine records no trip nests; profile on bytecode
@@ -477,14 +395,11 @@ int realMain(int Argc, char **Argv) {
     }
     const interp::NestTripStats *Dom =
         analysis::dominantTripNest(POut->Stats.TripNests);
-    analysis::StrategyCosts Costs;
-    Costs.CoalesceMaxOuter = 64;
-    Costs.CoalesceMaxTotal = 4096;
     analysis::StrategyChoice C;
     if (Dom)
       C = analysis::chooseStrategy(
-          analysis::TripDistribution(Dom->Hist), Opts.Lanes, Layout,
-          Costs);
+          analysis::TripDistribution(Dom->Hist), Opts.Lanes, Opts.Layout,
+          transform::StrategyPolicy::coalesced().costs());
     std::fprintf(stderr,
                  "flattenc: adaptive profile chose %s "
                  "(confidence %.2f, %lld trip sample(s))\n",
@@ -522,12 +437,12 @@ int realMain(int Argc, char **Argv) {
     transform::simplifyProgram(P);
   } else if (Opts.Emit == "simd") {
     transform::PipelineOptions PO;
-    PO.Layout = Layout;
+    PO.Layout = Opts.Layout;
     PO.Flatten = !Opts.NoFlatten;
     PO.ForceLevel = Opts.Level;
     PO.AssumeInnerMinOneTrip = Opts.AssumeMinOne;
     if (Opts.Strategy)
-      PO.Strategy = policyFor(*Opts.Strategy);
+      PO.Strategy = transform::StrategyPolicy{*Opts.Strategy};
     transform::PipelineReport Rep;
     auto Compiled = transform::compileForSimd(P, PO, &Rep);
     std::fputs(("flattenc: " + Rep.summary()).c_str(), stderr);
@@ -566,27 +481,13 @@ int realMain(int Argc, char **Argv) {
                  "executes the F90simd dialect)\n");
     return 2;
   }
-  for (const auto &[Name, V] : Opts.Sets)
-    if (!checkSetName(P, Name, /*WantArray=*/false))
-      return 2;
-  for (const auto &[Name, Vals] : Opts.SetArrays) {
-    if (!checkSetName(P, Name, /*WantArray=*/true))
-      return 2;
-    int64_t Want = P.lookupVar(Name)->numElements();
-    if (static_cast<int64_t>(Vals.size()) != Want) {
-      std::fprintf(stderr,
-                   "flattenc: --set-array '%s' expects %lld value(s), "
-                   "got %zu\n",
-                   Name.c_str(), static_cast<long long>(Want),
-                   Vals.size());
-      return 2;
-    }
-  }
+  if (!checkInputs(P, Opts))
+    return 2;
   machine::MachineConfig M;
   M.Name = "flattenc-sim";
   M.Processors = Opts.Lanes;
   M.Gran = Opts.Lanes;
-  M.DataLayout = Layout;
+  M.DataLayout = Opts.Layout;
   interp::RunOptions ROpts;
   ROpts.Fuel = Opts.Fuel;
   ROpts.Eng = Opts.Eng;

@@ -48,7 +48,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -57,8 +56,6 @@
 #include <unistd.h>
 
 using namespace simdflat;
-using cli::optionValue;
-using cli::parseInt;
 
 namespace {
 
@@ -89,228 +86,105 @@ struct CliOptions {
   bool TestThrow = false;
 };
 
-void usage() {
-  std::fprintf(
-      stderr,
-      "usage: flattend [options] < requests.jsonl > replies.jsonl\n"
-      "  --workers=N              worker threads (default 2)\n"
-      "  --queue-capacity=N       admission queue bound (default 16)\n"
-      "  --cache-capacity=N       compiled programs kept (default 64)\n"
-      "  --cache-bytes=N          compiled-program byte budget\n"
-      "                           (default 0: unmetered)\n"
-      "  --cache-tenant-bytes=N   per-tenant cache occupancy cap in\n"
-      "                           bytes (default 0: unmetered)\n"
-      "  --max-lanes=N            lane bound per request (default 64)\n"
-      "  --max-fuel=N             require 0 < fuel <= N per request\n"
-      "                           (default 0: fuel optional)\n"
-      "  --tenant-rate=N          request tokens per second for every\n"
-      "                           tenant (default 0: unmetered)\n"
-      "  --tenant-burst=N         request token bucket capacity\n"
-      "                           (default 8)\n"
-      "  --tenant-max-in-flight=N admitted-but-unresolved requests per\n"
-      "                           tenant (default 0: unmetered)\n"
-      "  --tenant-max-queued=N    queue share per tenant (default 0:\n"
-      "                           bounded only by --queue-capacity)\n"
-      "  --tenant-fuel-rate=N     fuel tokens per second per tenant\n"
-      "                           (default 0: unmetered)\n"
-      "  --compile-retries=N      retries after a failed compile "
-      "(default 2)\n"
-      "  --retry-after-ms=N       base retry hint on shed replies\n"
-      "                           (default 5; scaled by queue depth or\n"
-      "                           quota refill time)\n"
-      "  --breaker-cooldown-micros=N\n"
-      "                           re-probe an open breaker after N us\n"
-      "                           (default 0: count-driven only)\n"
-      "  --drain-deadline-ms=N    hard bound on the SIGINT/SIGTERM\n"
-      "                           graceful drain (default 5000)\n"
-      "  --adaptive               profile-guided strategy selection:\n"
-      "                           probe runs observe each program's trip\n"
-      "                           distribution, the Sec. 6 cost model\n"
-      "                           picks unflattened/flattened/coalesced,\n"
-      "                           and drift triggers respecialization\n"
-      "  --adaptive-min-samples=N trip samples before the first decision\n"
-      "                           (default 8)\n"
-      "  --adaptive-probe-every=N post-decision probe cadence (default\n"
-      "                           8; 0 disables drift tracking)\n"
-      "  --adaptive-drift-percent=N\n"
-      "                           re-decide when the probe window's\n"
-      "                           total-variation distance from the\n"
-      "                           decision snapshot exceeds N%% (default\n"
-      "                           25)\n"
-      "  --adaptive-window=N      keep only the last N probe runs when\n"
-      "                           measuring drift, so transient spikes\n"
-      "                           age out (default 0: accumulate every\n"
-      "                           probe since the last decision)\n"
-      "  --layout=cyclic|block    lane layout (default cyclic)\n"
-      "  --engine=%s\n"
-      "                           execution engine (default bytecode;\n"
-      "                           native JIT-compiles schedules to host\n"
-      "                           loops and degrades to bytecode\n"
-      "                           without a toolchain)\n"
-      "  --telemetry=PATH         append one accounting record per reply\n"
-      "  --health                 self-check (compile + run a probe\n"
-      "                           program), print one status line, exit\n"
-      "                           0 healthy / 1 unhealthy\n"
-      "  --fault-compile-failures=N\n"
-      "                           fault drill: fail the first N compile\n"
-      "                           attempts of every primary pipeline\n"
-      "  --fault-evict-mid-flight fault drill: evict each program while\n"
-      "                           its request still runs\n"
-      "  --fault-worker-stall-micros=N\n"
-      "                           fault drill: stall workers N us per\n"
-      "                           request\n"
-      "  --fault-inflate-cost-bytes=N\n"
-      "                           fault drill: pretend every cached\n"
-      "                           program costs N bytes\n"
+/// Parses the command line into \p Opts; returns the exit code when the
+/// daemon should not start.
+std::optional<int> parseArgs(int Argc, char **Argv, CliOptions &Opts) {
+  serve::ServerOptions &S = Opts.Server;
+  cli::Command Cmd{
+      "flattend",
+      "[options] < requests.jsonl > replies.jsonl",
+      {cli::integer("--workers", "N", 1, S.Workers,
+                    "worker threads (default 2)"),
+       cli::integer("--queue-capacity", "N", 1, S.QueueCapacity,
+                    "admission queue bound (default 16)"),
+       cli::integer("--cache-capacity", "N", 1, S.CacheCapacity,
+                    "compiled programs kept (default 64)"),
+       cli::integer("--cache-bytes", "N", 0, S.CacheMaxBytes,
+                    "compiled-program byte budget (default 0: unmetered)"),
+       cli::integer("--cache-tenant-bytes", "N", 0, S.CacheTenantMaxBytes,
+                    "per-tenant cache occupancy cap in bytes (default 0: "
+                    "unmetered)"),
+       cli::integer("--max-lanes", "N", 1, S.MaxLanes,
+                    "lane bound per request (default 64)"),
+       cli::integer("--max-fuel", "N", 0, S.MaxFuel,
+                    "require 0 < fuel <= N per request (default 0: fuel "
+                    "optional)"),
+       cli::integer("--tenant-rate", "N", 0, S.DefaultQuota.RatePerSec,
+                    "request tokens per second for every tenant (default "
+                    "0: unmetered)"),
+       cli::integer("--tenant-burst", "N", 1, S.DefaultQuota.Burst,
+                    "request token bucket capacity (default 8)"),
+       cli::integer("--tenant-max-in-flight", "N", 0,
+                    S.DefaultQuota.MaxInFlight,
+                    "admitted-but-unresolved requests per tenant (default "
+                    "0: unmetered)"),
+       cli::integer("--tenant-max-queued", "N", 0, S.DefaultQuota.MaxQueued,
+                    "queue share per tenant (default 0: bounded only by "
+                    "--queue-capacity)"),
+       cli::integer("--tenant-fuel-rate", "N", 0, S.DefaultQuota.FuelPerSec,
+                    "fuel tokens per second per tenant (default 0: "
+                    "unmetered)"),
+       cli::integer("--compile-retries", "N", 0, S.CompileRetries,
+                    "retries after a failed compile (default 2)"),
+       cli::integer("--retry-after-ms", "N", 0, S.RetryAfterMs,
+                    "base retry hint on shed replies (default 5; scaled by "
+                    "queue depth or quota refill time)"),
+       cli::integer("--breaker-cooldown-micros", "N", 0,
+                    S.Breaker.CooldownMicros,
+                    "re-probe an open breaker after N us (default 0: "
+                    "count-driven only)"),
+       cli::integer("--drain-deadline-ms", "N", 0, Opts.DrainDeadlineMs,
+                    "hard bound on the SIGINT/SIGTERM graceful drain "
+                    "(default 5000)"),
+       cli::flag("--adaptive", S.Adaptive,
+                 "profile-guided strategy selection: probe runs observe "
+                 "each program's trip distribution, the Sec. 6 cost model "
+                 "picks unflattened/flattened/coalesced, and drift "
+                 "triggers respecialization"),
+       cli::integer("--adaptive-min-samples", "N", 1, S.AdaptiveMinSamples,
+                    "trip samples before the first decision (default 8)"),
+       cli::integer("--adaptive-probe-every", "N", 0, S.AdaptiveProbeEvery,
+                    "post-decision probe cadence (default 8; 0 disables "
+                    "drift tracking)"),
+       cli::integer(
+           "--adaptive-drift-percent", "N", 0,
+           [&S](int64_t N) { S.AdaptiveDriftThreshold = N / 100.0; },
+           "re-decide when the probe window's total-variation distance "
+           "from the decision snapshot exceeds N% (default 25)"),
+       cli::integer("--adaptive-window", "N", 0, S.AdaptiveWindow,
+                    "keep only the last N probe runs when measuring drift, "
+                    "so transient spikes age out (default 0: accumulate "
+                    "every probe since the last decision)"),
+       cli::layout(S.Layout, "lane layout (default cyclic)"),
+       cli::engine(S.Eng, "execution engine (default bytecode; native "
+                          "JIT-compiles schedules to host loops and "
+                          "degrades to bytecode without a toolchain)"),
+       cli::text("--telemetry", "PATH", Opts.TelemetryPath,
+                 "append one accounting record per reply"),
+       cli::flag("--health", Opts.Health,
+                 "self-check (compile + run a probe program), print one "
+                 "status line, exit 0 healthy / 1 unhealthy"),
+       cli::integer("--fault-compile-failures", "N", 0,
+                    S.Faults.CompileFailures,
+                    "fault drill: fail the first N compile attempts of "
+                    "every primary pipeline"),
+       cli::flag("--fault-evict-mid-flight", S.Faults.EvictMidFlight,
+                 "fault drill: evict each program while its request "
+                 "still runs"),
+       cli::integer("--fault-worker-stall-micros", "N", 0,
+                    S.Faults.WorkerStallMicros,
+                    "fault drill: stall workers N us per request"),
+       cli::integer("--fault-inflate-cost-bytes", "N", 0,
+                    S.Faults.InflateCostBytes,
+                    "fault drill: pretend every cached program costs N "
+                    "bytes"),
+       // Undocumented (no help text): fires the exception barrier (CI and
+       // the CLI test assert the structured-diagnostic + exit-4 contract).
+       cli::flag("--test-throw", Opts.TestThrow, "")},
+      {},
       "exit codes: 0 success, 1 unhealthy (--health), 2 bad command\n"
-      "line, 4 internal error, 5 accounting inconsistency\n",
-      interp::engineNameList().c_str());
-}
-
-[[nodiscard]] bool cliError(const char *Fmt, const std::string &Arg) {
-  std::fprintf(stderr, Fmt, Arg.c_str());
-  std::fprintf(stderr, "\n");
-  usage();
-  return false;
-}
-
-bool intOption(const std::string &A, const char *Name, int64_t Min,
-               int64_t &Out, bool &Matched) {
-  std::string V;
-  Matched = optionValue(A, Name, V);
-  if (!Matched)
-    return true;
-  if (!parseInt(V, Out) || Out < Min)
-    return cliError("flattend: bad value in '%s'", A);
-  return true;
-}
-
-bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
-  struct IntFlag {
-    const char *Name;
-    int64_t Min;
-    std::function<void(CliOptions &, int64_t)> Apply;
-  };
-  // Each name matches only as `name=value` (cli::optionValue), so the
-  // order of this table does not matter.
-  static const IntFlag IntFlags[] = {
-      {"--workers", 1,
-       [](CliOptions &O, int64_t N) { O.Server.Workers = (int)N; }},
-      {"--queue-capacity", 1,
-       [](CliOptions &O, int64_t N) { O.Server.QueueCapacity = (size_t)N; }},
-      {"--cache-capacity", 1,
-       [](CliOptions &O, int64_t N) { O.Server.CacheCapacity = (size_t)N; }},
-      {"--cache-tenant-bytes", 0,
-       [](CliOptions &O, int64_t N) {
-         O.Server.CacheTenantMaxBytes = (size_t)N;
-       }},
-      {"--cache-bytes", 0,
-       [](CliOptions &O, int64_t N) { O.Server.CacheMaxBytes = (size_t)N; }},
-      {"--max-lanes", 1,
-       [](CliOptions &O, int64_t N) { O.Server.MaxLanes = N; }},
-      {"--max-fuel", 0,
-       [](CliOptions &O, int64_t N) { O.Server.MaxFuel = N; }},
-      {"--tenant-rate", 0,
-       [](CliOptions &O, int64_t N) {
-         O.Server.DefaultQuota.RatePerSec = (double)N;
-       }},
-      {"--tenant-burst", 1,
-       [](CliOptions &O, int64_t N) { O.Server.DefaultQuota.Burst = N; }},
-      {"--tenant-max-in-flight", 0,
-       [](CliOptions &O, int64_t N) {
-         O.Server.DefaultQuota.MaxInFlight = N;
-       }},
-      {"--tenant-max-queued", 0,
-       [](CliOptions &O, int64_t N) { O.Server.DefaultQuota.MaxQueued = N; }},
-      {"--tenant-fuel-rate", 0,
-       [](CliOptions &O, int64_t N) {
-         O.Server.DefaultQuota.FuelPerSec = (double)N;
-       }},
-      {"--compile-retries", 0,
-       [](CliOptions &O, int64_t N) { O.Server.CompileRetries = (int)N; }},
-      {"--retry-after-ms", 0,
-       [](CliOptions &O, int64_t N) { O.Server.RetryAfterMs = N; }},
-      {"--breaker-cooldown-micros", 0,
-       [](CliOptions &O, int64_t N) { O.Server.Breaker.CooldownMicros = N; }},
-      {"--drain-deadline-ms", 0,
-       [](CliOptions &O, int64_t N) { O.DrainDeadlineMs = N; }},
-      {"--adaptive-min-samples", 1,
-       [](CliOptions &O, int64_t N) { O.Server.AdaptiveMinSamples = N; }},
-      {"--adaptive-probe-every", 0,
-       [](CliOptions &O, int64_t N) { O.Server.AdaptiveProbeEvery = N; }},
-      {"--adaptive-drift-percent", 0,
-       [](CliOptions &O, int64_t N) {
-         O.Server.AdaptiveDriftThreshold = (double)N / 100.0;
-       }},
-      {"--adaptive-window", 0,
-       [](CliOptions &O, int64_t N) { O.Server.AdaptiveWindow = N; }},
-      {"--fault-compile-failures", 0,
-       [](CliOptions &O, int64_t N) {
-         O.Server.Faults.CompileFailures = (int)N;
-       }},
-      {"--fault-worker-stall-micros", 0,
-       [](CliOptions &O, int64_t N) {
-         O.Server.Faults.WorkerStallMicros = N;
-       }},
-      {"--fault-inflate-cost-bytes", 0,
-       [](CliOptions &O, int64_t N) {
-         O.Server.Faults.InflateCostBytes = (size_t)N;
-       }},
-  };
-
-  for (int I = 1; I < Argc; ++I) {
-    std::string A = Argv[I];
-    std::string V;
-    bool Handled = false;
-    for (const IntFlag &F : IntFlags) {
-      int64_t N = 0;
-      bool Matched = false;
-      if (!intOption(A, F.Name, F.Min, N, Matched))
-        return false;
-      if (Matched) {
-        F.Apply(Opts, N);
-        Handled = true;
-        break;
-      }
-    }
-    if (Handled)
-      continue;
-    if (A == "--fault-evict-mid-flight") {
-      Opts.Server.Faults.EvictMidFlight = true;
-    } else if (A == "--adaptive") {
-      Opts.Server.Adaptive = true;
-    } else if (A == "--health") {
-      Opts.Health = true;
-    } else if (optionValue(A, "--layout", V)) {
-      if (V != "cyclic" && V != "block")
-        return cliError("flattend: --layout expects cyclic|block, got '%s'",
-                        A);
-      Opts.Server.Layout = V == "block" ? machine::Layout::Block
-                                        : machine::Layout::Cyclic;
-    } else if (optionValue(A, "--engine", V)) {
-      if (!interp::engineFromName(V, Opts.Server.Eng))
-        return cliError(("flattend: --engine expects " +
-                         interp::engineNameList() + ", got '%s'")
-                            .c_str(),
-                        A);
-    } else if (optionValue(A, "--telemetry", V)) {
-      if (V.empty())
-        return cliError("flattend: --telemetry expects a non-empty path, "
-                        "got '%s'",
-                        A);
-      Opts.TelemetryPath = V;
-    } else if (A == "--test-throw") {
-      // Undocumented: fires the exception barrier (CI and the CLI test
-      // assert the structured-diagnostic + exit-4 contract).
-      Opts.TestThrow = true;
-    } else if (A == "--help" || A == "-h") {
-      usage();
-      return false;
-    } else {
-      return cliError("flattend: unknown option '%s'", A);
-    }
-  }
-  return true;
+      "line, 4 internal error, 5 accounting inconsistency\n"};
+  return cli::parse(Cmd, Argc, Argv);
 }
 
 /// --health: compile and execute a builtin probe program in-process
@@ -434,8 +308,8 @@ private:
 
 int realMain(int Argc, char **Argv) {
   CliOptions Opts;
-  if (!parseArgs(Argc, Argv, Opts))
-    return 2;
+  if (std::optional<int> Exit = parseArgs(Argc, Argv, Opts))
+    return *Exit;
   if (Opts.TestThrow)
     throw std::runtime_error("--test-throw requested");
   if (Opts.Health)

@@ -14,7 +14,7 @@
 ///   flattenfuzz --seed=1 --count=500          # the CI smoke run
 ///   flattenfuzz --seed=1 --time-budget=30     # fuzz for ~30 seconds
 ///   flattenfuzz --campaign=faults --count=200 # fault-injection sweep
-///   flattenfuzz --replay tests/fuzz/corpus/case.json
+///   flattenfuzz --replay=tests/fuzz/corpus/case.json
 ///   flattenfuzz --seed=7 --export=case.json   # checkpoint one case
 ///
 /// Exit codes: 0 success, 1 divergence (or replay verdict mismatch),
@@ -42,8 +42,6 @@
 #include <string>
 
 using namespace simdflat;
-using cli::optionValue;
-using cli::parseInt;
 using namespace simdflat::fuzz;
 
 namespace {
@@ -60,111 +58,58 @@ struct CliOptions {
   bool Native = false;           // native oracle leg (JIT per case)
 };
 
-void usage() {
-  std::fprintf(
-      stderr,
-      "usage: flattenfuzz [options]\n"
-      "  --seed=N           first seed (default 1)\n"
-      "  --count=N          cases to run (default 100)\n"
-      "  --time-budget=SEC  stop after SEC seconds of fuzzing\n"
-      "  --replay PATH      run one corpus case and check its verdict\n"
-      "  --campaign=faults  fault-injection campaign (fuel, deadline,\n"
-      "                     hostile externs, NaN inputs; default\n"
-      "                     --count=200)\n"
-      "  --campaign=serve   serving-core fault campaign (mixed hostile\n"
-      "                     traffic, queue saturation, injected compile\n"
-      "                     failures, mid-flight eviction)\n"
-      "  --campaign=adaptive\n"
-      "                     adaptive-strategy campaign (drifting trip\n"
-      "                     distributions, strategy flips under cache\n"
-      "                     chaos, poisoned-primary fallback; exactness\n"
-      "                     and accounting must hold throughout)\n"
-      "  --export=PATH      write the --seed case as a corpus file\n"
-      "  --out=DIR          directory for shrunk divergence cases\n"
-      "  --break-guard-cache\n"
-      "                     seed the known GuardIntro-cache bug (the\n"
-      "                     oracle must catch it; for demonstration)\n"
-      "  --native           native oracle leg: also run every variant\n"
-      "                     under Engine::Native (one host-compiler\n"
-      "                     invocation per distinct program shape -\n"
-      "                     keep --count small; degrades to bytecode\n"
-      "                     on toolchain-less builds)\n"
-      "exit codes: 0 success, 1 divergence/verdict mismatch, 2 bad\n"
-      "command line or unreadable file\n");
-}
-
-[[nodiscard]] bool cliError(const char *Fmt, const std::string &Arg) {
-  std::fprintf(stderr, Fmt, Arg.c_str());
-  std::fprintf(stderr, "\n");
-  usage();
-  return false;
-}
-
-bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
+/// Parses the command line into \p Opts; returns the exit code when the
+/// driver should not run.
+std::optional<int> parseArgs(int Argc, char **Argv, CliOptions &Opts) {
   bool CountSet = false;
-  for (int I = 1; I < Argc; ++I) {
-    std::string A = Argv[I];
-    std::string V;
-    int64_t N = 0;
-    if (optionValue(A, "--seed", V)) {
-      if (!parseInt(V, N) || N < 0)
-        return cliError("flattenfuzz: --seed expects a non-negative "
-                        "integer, got '%s'",
-                        A);
-      Opts.Seed = static_cast<uint64_t>(N);
-    } else if (optionValue(A, "--count", V)) {
-      if (!parseInt(V, N) || N <= 0)
-        return cliError("flattenfuzz: --count expects a positive "
-                        "integer, got '%s'",
-                        A);
-      Opts.Count = N;
-      CountSet = true;
-    } else if (optionValue(A, "--time-budget", V)) {
-      if (!parseInt(V, N) || N < 0)
-        return cliError("flattenfuzz: --time-budget expects seconds, "
-                        "got '%s'",
-                        A);
-      Opts.TimeBudgetSec = N;
-    } else if (A == "--replay") {
-      if (I + 1 >= Argc)
-        return cliError("flattenfuzz: %s expects a file argument", A);
-      Opts.ReplayPath = Argv[++I];
-    } else if (optionValue(A, "--replay", V)) {
-      if (V.empty())
-        return cliError("flattenfuzz: --replay expects a path, got '%s'",
-                        A);
-      Opts.ReplayPath = V;
-    } else if (optionValue(A, "--campaign", V)) {
-      if (V != "faults" && V != "serve" && V != "adaptive")
-        return cliError("flattenfuzz: --campaign expects 'faults', "
-                        "'serve' or 'adaptive', got '%s'",
-                        A);
-      Opts.Campaign = V;
-    } else if (optionValue(A, "--export", V)) {
-      if (V.empty())
-        return cliError("flattenfuzz: --export expects a path, got '%s'",
-                        A);
-      Opts.ExportPath = V;
-    } else if (optionValue(A, "--out", V)) {
-      if (V.empty())
-        return cliError("flattenfuzz: --out expects a directory, "
-                        "got '%s'",
-                        A);
-      Opts.OutDir = V;
-    } else if (A == "--break-guard-cache") {
-      Opts.BreakGuardCache = true;
-    } else if (A == "--native") {
-      Opts.Native = true;
-    } else if (A == "--help" || A == "-h") {
-      usage();
-      return false;
-    } else {
-      return cliError("flattenfuzz: unknown argument '%s'", A);
-    }
-  }
+  cli::Command Cmd{
+      "flattenfuzz",
+      "[options]",
+      {cli::integer(
+           "--seed", "N", 0,
+           [&](int64_t N) { Opts.Seed = static_cast<uint64_t>(N); },
+           "first seed (default 1)"),
+       cli::integer(
+           "--count", "N", 1,
+           [&](int64_t N) {
+             Opts.Count = N;
+             CountSet = true;
+           },
+           "cases to run (default 100; 200 under --campaign)"),
+       cli::integer("--time-budget", "SEC", 0, Opts.TimeBudgetSec,
+                    "stop after SEC seconds of fuzzing"),
+       cli::text("--replay", "PATH", Opts.ReplayPath,
+                 "run one corpus case and check its verdict"),
+       cli::choice(
+           "--campaign", {"faults", "serve", "adaptive"},
+           [&](const std::string &V) { Opts.Campaign = V; },
+           "faults: fault injection (fuel, deadline, hostile externs, NaN "
+           "inputs); serve: serving-core faults (mixed hostile traffic, "
+           "queue saturation, injected compile failures, mid-flight "
+           "eviction); adaptive: adaptive strategy (drifting trip "
+           "distributions, strategy flips under cache chaos, "
+           "poisoned-primary fallback; exactness and accounting must hold "
+           "throughout)"),
+       cli::text("--export", "PATH", Opts.ExportPath,
+                 "write the --seed case as a corpus file"),
+       cli::text("--out", "DIR", Opts.OutDir,
+                 "directory for shrunk divergence cases"),
+       cli::flag("--break-guard-cache", Opts.BreakGuardCache,
+                 "seed the known GuardIntro-cache bug (the oracle must "
+                 "catch it; for demonstration)"),
+       cli::flag("--native", Opts.Native,
+                 "native oracle leg: also run every variant under "
+                 "Engine::Native (one host-compiler invocation per "
+                 "distinct program shape - keep --count small; degrades "
+                 "to bytecode on toolchain-less builds)")},
+      {},
+      "exit codes: 0 success, 1 divergence/verdict mismatch, 2 bad\n"
+      "command line or unreadable file\n"};
+  if (std::optional<int> Exit = cli::parse(Cmd, Argc, Argv))
+    return Exit;
   if (!Opts.Campaign.empty() && !CountSet)
     Opts.Count = 200;
-  return true;
+  return std::nullopt;
 }
 
 /// Stamps the reference verdict of \p OR into \p C so a corpus replay
@@ -353,8 +298,8 @@ int runFuzz(const CliOptions &Opts) {
 
 int main(int Argc, char **Argv) {
   CliOptions Opts;
-  if (!parseArgs(Argc, Argv, Opts))
-    return 2;
+  if (std::optional<int> Exit = parseArgs(Argc, Argv, Opts))
+    return *Exit;
   if (!Opts.ReplayPath.empty())
     return runReplay(Opts);
   if (Opts.Campaign == "serve")

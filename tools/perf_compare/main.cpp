@@ -15,83 +15,52 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "support/Cli.h"
 #include "tools/perf_compare/PerfCompare.h"
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
+#include <vector>
 
 using namespace simdflat;
 using namespace simdflat::perfcompare;
 
-namespace {
-
-void usage(const char *Prog) {
-  std::fprintf(
-      stderr,
-      "usage: %s <baseline.json> <new.json> [--threshold=<frac>] [--all]\n"
-      "       %s --dirs <baseline-dir> <new-dir> [--threshold=<frac>]"
-      " [--all]\n"
-      "  Compares two simdflat-bench-v1 files; exits 1 when any gated\n"
-      "  metric regresses by more than the threshold (default 0.10).\n"
-      "  --all also prints metrics whose change stayed inside it.\n"
-      "  --dirs matches *.json files by name between two directories;\n"
-      "  benches present on only one side are reported as added or\n"
-      "  removed (informational), never as failures.\n",
-      Prog, Prog);
-}
-
-} // namespace
-
 int main(int argc, char **argv) {
   CompareOptions Opts;
-  std::string BasePath, NewPath;
   bool Dirs = false;
-  for (int I = 1; I < argc; ++I) {
-    std::string Arg = argv[I];
-    if (Arg == "--help" || Arg == "-h") {
-      usage(argv[0]);
-      return 0;
-    }
-    if (Arg == "--all") {
-      Opts.ShowAll = true;
-      continue;
-    }
-    if (Arg == "--dirs") {
-      Dirs = true;
-      continue;
-    }
-    if (Arg.rfind("--threshold=", 0) == 0) {
-      char *End = nullptr;
-      const char *Num = Arg.c_str() + std::strlen("--threshold=");
-      Opts.Threshold = std::strtod(Num, &End);
-      if (End == Num || *End != '\0' || Opts.Threshold < 0.0) {
-        std::fprintf(stderr, "perf_compare: bad threshold '%s'\n",
-                     Num);
-        return 2;
-      }
-      continue;
-    }
-    if (!Arg.empty() && Arg[0] == '-') {
-      std::fprintf(stderr, "perf_compare: unknown option '%s'\n",
-                   Arg.c_str());
-      usage(argv[0]);
-      return 2;
-    }
-    if (BasePath.empty())
-      BasePath = Arg;
-    else if (NewPath.empty())
-      NewPath = Arg;
-    else {
-      usage(argv[0]);
-      return 2;
-    }
-  }
-  if (BasePath.empty() || NewPath.empty()) {
-    usage(argv[0]);
-    return 2;
-  }
+  cli::Command Cmd{
+      "perf_compare",
+      "[options] <baseline.json> <new.json>\n"
+      "       perf_compare --dirs [options] <baseline-dir> <new-dir>",
+      {cli::value(
+           "--threshold", "FRAC",
+           [&](const std::string &V) -> std::string {
+             char *End = nullptr;
+             Opts.Threshold = std::strtod(V.c_str(), &End);
+             if (V.empty() || *End != '\0' || !(Opts.Threshold >= 0.0))
+               return "--threshold expects a non-negative number, got "
+                      "'--threshold=" +
+                      V + "'";
+             return "";
+           },
+           "fail on a gated metric that regresses by more than FRAC "
+           "(default 0.10)"),
+       cli::flag("--all", Opts.ShowAll,
+                 "also print metrics whose change stayed inside the "
+                 "threshold"),
+       cli::flag("--dirs", Dirs,
+                 "compare *.json files matched by name between two "
+                 "directories; benches present on one side only are "
+                 "reported as added or removed, never as failures")},
+      {"<baseline>", "<new>"},
+      "Compares two simdflat-bench-v1 files.\n"
+      "exit codes: 0 no gated regression, 1 regression(s) found, 2 usage\n"
+      "or I/O error\n"};
+  std::vector<std::string> Paths;
+  if (std::optional<int> Exit = cli::parse(Cmd, argc, argv, &Paths))
+    return *Exit;
+  const std::string &BasePath = Paths[0], &NewPath = Paths[1];
 
   if (Dirs) {
     auto Result = compareBenchDirs(BasePath, NewPath, Opts);
