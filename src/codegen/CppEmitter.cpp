@@ -17,6 +17,7 @@
 #include "ir/Program.h"
 #include "machine/Machine.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -62,9 +63,17 @@ std::string realLiteral(double V) {
   uint64_t Bits;
   std::memcpy(&Bits, &V, sizeof(Bits));
   char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "sfBits(UINT64_C(0x%016" PRIx64 "))",
-                Bits);
+  std::snprintf(Buf, sizeof(Buf), "sfBits(0x%016" PRIx64 "ULL)", Bits);
   return Buf;
+}
+
+/// C++ literal for \p V with an LL suffix. INT64_MIN has no literal
+/// (its magnitude overflows long long), so it is spelled as an
+/// expression.
+std::string intLiteral(int64_t V) {
+  if (V == INT64_MIN)
+    return "(-__INT64_MAX__ - 1)";
+  return std::to_string(V) + "LL";
 }
 
 /// Static per-slot facts baked into the generated code.
@@ -153,16 +162,25 @@ bool Emitter::collectSlots() {
 }
 
 void Emitter::prologue(int64_t MaskLevels, int32_t MaxArgs) {
+  size_t MsgMax = 0;
+  for (const std::string &M : EP.Msgs)
+    MsgMax = std::max(MsgMax, M.size());
   ln("// Generated by simdflat codegen::CppEmitter - do not edit.");
   ln("// program '" + escapeString(EP.ProgName) + "', lanes " + i2s(Lanes) +
      ", layout " + (Cyclic ? "cyclic" : "block") + ".");
-  ln("#include <algorithm>");
-  ln("#include <cmath>");
-  ln("#include <cstdint>");
-  ln("#include <cstdlib>");
-  ln("#include <cstring>");
-  ln("#include <string>");
-  ln("#include <vector>");
+  // No #include: parsing the standard headers was a fixed cost of about
+  // 0.3 s in every host compile. The prelude declares the few library
+  // pieces the code uses, from compiler-predefined macros and builtins
+  // (GCC and Clang both provide them).
+  ln("typedef __INT8_TYPE__ int8_t;");
+  ln("typedef __INT32_TYPE__ int32_t;");
+  ln("typedef __INT64_TYPE__ int64_t;");
+  ln("typedef __UINT8_TYPE__ uint8_t;");
+  ln("typedef __UINT32_TYPE__ uint32_t;");
+  ln("typedef __UINT64_TYPE__ uint64_t;");
+  ln("typedef __SIZE_TYPE__ size_t;");
+  ln("extern \"C\" void *calloc(size_t, size_t);");
+  ln("extern \"C\" void free(void *);");
   ln("");
   // Textual copy of the NativeAbi.h structs; the entry point verifies
   // AbiVersion + sizeof before touching anything else.
@@ -191,17 +209,41 @@ void Emitter::prologue(int64_t MaskLevels, int32_t MaxArgs) {
   ln("static constexpr int64_t SF_NUMCTL = " + i2s(EP.NumCtl) + ";");
   ln("static constexpr int64_t SF_LEVELS = " + i2s(MaskLevels) + ";");
   ln("static constexpr int32_t SF_MAXARGS = " + i2s(MaxArgs) + ";");
+  ln("static constexpr int64_t SF_MSGMAX = " +
+     i2s(static_cast<int64_t>(MsgMax)) + ";");
   ln("");
   ln("static inline double sfBits(uint64_t B) {");
-  ln("  double V; std::memcpy(&V, &B, sizeof(V)); return V;");
+  ln("  double V; __builtin_memcpy(&V, &B, sizeof(V)); return V;");
+  ln("}");
+  // std::max / std::min, operand order included (it decides which
+  // operand a NaN or a signed zero comes from).
+  ln("template <class T> static inline T sfMax(T A, T B) "
+     "{ return A < B ? B : A; }");
+  ln("template <class T> static inline T sfMin(T A, T B) "
+     "{ return B < A ? B : A; }");
+  // Trap-detail builders: copy with the terminator, return the end.
+  ln("static inline char *sfPut(char *P, const char *S) {");
+  ln("  while ((*P = *S)) { ++P; ++S; }");
+  ln("  return P;");
+  ln("}");
+  ln("static inline char *sfPutI(char *P, int64_t V) {");
+  ln("  char T[20]; int N = 0;");
+  ln("  uint64_t U = V < 0 ? 0 - (uint64_t)V : (uint64_t)V;");
+  ln("  do { T[N++] = (char)('0' + U % 10); U /= 10; } while (U);");
+  ln("  if (V < 0) *P++ = '-';");
+  ln("  while (N) *P++ = T[--N];");
+  ln("  *P = 0;");
+  ln("  return P;");
   ln("}");
   ln("");
   // Constant pools. Emit one dummy entry when empty so the arrays stay
   // well-formed; nothing indexes past the real contents.
   {
     std::string S = "static const int64_t SfIntPool[] = {";
-    for (int64_t V : EP.IntPool)
-      S += "INT64_C(" + i2s(V) + "), ";
+    for (int64_t V : EP.IntPool) {
+      S += intLiteral(V);
+      S += ", ";
+    }
     S += "0};";
     ln(S);
   }
@@ -227,11 +269,42 @@ void Emitter::prologue(int64_t MaskLevels, int32_t MaxArgs) {
   ln("");
   ln("struct SfReg { int8_t K; int64_t I[SF_LANES]; double R[SF_LANES]; "
      "};");
+  // Per-run scratch in one zeroed heap block (the interpreter's fresh
+  // VecVals are all-zero too): the register file plus the two coercion
+  // registers, control slots, the mask levels (MaskCur[d] is the
+  // composed mask at depth d, MaskCond[d] the condition that produced
+  // it; flipTop needs both), faulting-lane collection, scatter flats,
+  // mask conditions and extern call marshalling. The heap, not the
+  // stack: the lane count has no upper bound.
+  ln("struct SfScratch {");
+  ln("  SfReg Rg[SF_NUMREGS + 2];");
+  ln("  int64_t Ctl[SF_NUMCTL + 1];");
+  ln("  uint8_t MaskCur[SF_LEVELS * SF_LANES];");
+  ln("  uint8_t MaskCond[SF_LEVELS * SF_LANES];");
+  ln("  int64_t BadL[SF_LANES];");
+  ln("  int64_t Flats[SF_LANES];");
+  ln("  uint8_t CondM[SF_LANES];");
+  ln("  int8_t ArgK[SF_MAXARGS];");
+  ln("  int64_t ArgI[SF_MAXARGS];");
+  ln("  double ArgR[SF_MAXARGS];");
+  ln("};");
+  // Frees the block on return and when a trap unwinds the frame.
+  ln("struct SfScratchOwner {");
+  ln("  SfScratch *P;");
+  ln("  explicit SfScratchOwner(SfScratch *P) : P(P) {}");
+  ln("  SfScratchOwner(const SfScratchOwner &) = delete;");
+  ln("  SfScratchOwner &operator=(const SfScratchOwner &) = delete;");
+  ln("  ~SfScratchOwner() { free(P); }");
+  ln("};");
   ln("");
   ln("extern \"C\" int32_t simdflat_native_run(SfContext *Ctx) {");
   ln("  if (Ctx->AbiVersion != " + i2s(SfNativeAbiVersion) +
      " || Ctx->StructBytes != (uint32_t)sizeof(SfContext))");
   ln("    return 1;");
+  ln("  SfScratch *Sc = (SfScratch *)calloc(1, sizeof(SfScratch));");
+  ln("  if (!Sc)");
+  ln("    return 2;");
+  ln("  SfScratchOwner ScOwner(Sc);");
   ln("  SfSlot *SL = Ctx->Slots;");
   ln("  const double *Costs = Ctx->Costs;");
   ln("  const int64_t Fuel = Ctx->Fuel;");
@@ -241,41 +314,23 @@ void Emitter::prologue(int64_t MaskLevels, int32_t MaxArgs) {
   ln("  int64_t Instructions = Ctx->Instructions;");
   ln("  int64_t Comm = Ctx->CommAccesses;");
   ln("  int64_t LoopIterations = 0;");
-  // Register file + two coercion scratch registers, value-initialized
-  // (all-zero) like the interpreter's fresh VecVals.
-  ln("  std::vector<SfReg> RegFile((size_t)SF_NUMREGS + 2);");
-  ln("  SfReg *Rg = RegFile.data();");
+  ln("  SfReg *Rg = Sc->Rg;");
   ln("  SfReg &TA = Rg[SF_NUMREGS];");
   ln("  SfReg &TB = Rg[SF_NUMREGS + 1];");
   ln("  (void)TA; (void)TB;");
-  ln("  std::vector<int64_t> CtlV((size_t)SF_NUMCTL + 1, 0);");
-  ln("  int64_t *Ctl = CtlV.data(); (void)Ctl;");
-  // Mask level arrays: MaskCur[d] is the composed mask at depth d,
-  // MaskCond[d] the condition that produced it (flipTop needs both).
-  ln("  std::vector<uint8_t> MaskCurV((size_t)(SF_LEVELS * SF_LANES), "
-     "0);");
-  ln("  std::vector<uint8_t> MaskCondV((size_t)(SF_LEVELS * SF_LANES), "
-     "0);");
-  ln("  uint8_t *MaskCur = MaskCurV.data();");
-  ln("  uint8_t *MaskCond = MaskCondV.data(); (void)MaskCond;");
+  ln("  int64_t *Ctl = Sc->Ctl; (void)Ctl;");
+  ln("  uint8_t *MaskCur = Sc->MaskCur;");
+  ln("  uint8_t *MaskCond = Sc->MaskCond; (void)MaskCond;");
   ln("  for (int64_t L = 0; L < SF_LANES; ++L) MaskCur[L] = 1;");
   ln("  int64_t MD = 0;");
   ln("  uint8_t *CM = MaskCur;");
-  // Shared scratch: faulting-lane collection, scatter flats, mask
-  // conditions, extern call marshalling.
-  ln("  std::vector<int64_t> BadV((size_t)SF_LANES);");
-  ln("  int64_t *BadL = BadV.data(); (void)BadL;");
+  ln("  int64_t *BadL = Sc->BadL; (void)BadL;");
   ln("  int64_t NBad = 0; (void)NBad;");
-  ln("  std::vector<int64_t> FlatsV((size_t)SF_LANES);");
-  ln("  int64_t *Flats = FlatsV.data(); (void)Flats;");
-  ln("  std::vector<uint8_t> CondV((size_t)SF_LANES);");
-  ln("  uint8_t *CondM = CondV.data(); (void)CondM;");
-  ln("  std::vector<int8_t> ArgKV((size_t)SF_MAXARGS);");
-  ln("  std::vector<int64_t> ArgIV((size_t)SF_MAXARGS);");
-  ln("  std::vector<double> ArgRV((size_t)SF_MAXARGS);");
-  ln("  int8_t *ArgK = ArgKV.data(); (void)ArgK;");
-  ln("  int64_t *ArgI = ArgIV.data(); (void)ArgI;");
-  ln("  double *ArgR = ArgRV.data(); (void)ArgR;");
+  ln("  int64_t *Flats = Sc->Flats; (void)Flats;");
+  ln("  uint8_t *CondM = Sc->CondM; (void)CondM;");
+  ln("  int8_t *ArgK = Sc->ArgK; (void)ArgK;");
+  ln("  int64_t *ArgI = Sc->ArgI; (void)ArgI;");
+  ln("  double *ArgR = Sc->ArgR; (void)ArgR;");
   ln("");
   ln("  auto sfSync = [&]() {");
   ln("    Ctx->Cycles = Cycles;");
@@ -284,22 +339,23 @@ void Emitter::prologue(int64_t MaskLevels, int32_t MaxArgs) {
   ln("  };");
   // Trap never returns: the host callback throws through this frame
   // (the module is compiled with unwind tables like everything else);
-  // abort() is a belt for a misbehaving host.
+  // abort is a belt for a misbehaving host.
   ln("  auto sfTrap = [&](int32_t Kind, int32_t Loc, const char *Detail,");
   ln("                    const int64_t *Lns, int64_t N) {");
   ln("    sfSync();");
   ln("    Ctx->Trap(Ctx->Host, Kind, Loc, Detail, Lns, N);");
-  ln("    std::abort();");
+  ln("    __builtin_abort();");
   ln("  };");
+  // Detail buffers: the fixed text plus an int64 fit in 128 bytes.
   ln("  auto sfCharge = [&](double C, int32_t Loc) {");
   ln("    Cycles += C;");
   ln("    Instructions += 1;");
   ln("    if (Fuel > 0 && Instructions > Fuel) {");
-  ln("      std::string D = \"fuel budget of \" + std::to_string(Fuel) +");
-  ln("                      \" instructions exhausted in '\" SF_PROG "
-     "\"'\";");
+  ln("      char D[sizeof(SF_PROG) + 128];");
+  ln("      char *P = sfPutI(sfPut(D, \"fuel budget of \"), Fuel);");
+  ln("      sfPut(P, \" instructions exhausted in '\" SF_PROG \"'\");");
   ln("      sfTrap(" + i2s(trapCode(interp::TrapKind::FuelExhausted)) +
-     ", Loc, D.c_str(), nullptr, 0);");
+     ", Loc, D, nullptr, 0);");
   ln("    }");
   ln("    if (HasDeadline && Instructions % 64 == 1) {");
   ln("      sfSync();");
@@ -311,12 +367,13 @@ void Emitter::prologue(int64_t MaskLevels, int32_t MaxArgs) {
   ln("  };");
   ln("  auto sfLoopIter = [&](int32_t Loc) {");
   ln("    if (++LoopIterations > MaxLoopIters) {");
-  ln("      std::string D = \"loop iteration limit of \" +");
-  ln("                      std::to_string(MaxLoopIters) +");
-  ln("                      \" exceeded in '\" SF_PROG \"' "
-     "(non-terminating transform?)\";");
+  ln("      char D[sizeof(SF_PROG) + 128];");
+  ln("      char *P = sfPutI(sfPut(D, \"loop iteration limit of \"), "
+     "MaxLoopIters);");
+  ln("      sfPut(P, \" exceeded in '\" SF_PROG \"' "
+     "(non-terminating transform?)\");");
   ln("      sfTrap(" + i2s(trapCode(interp::TrapKind::FuelExhausted)) +
-     ", Loc, D.c_str(), nullptr, 0);");
+     ", Loc, D, nullptr, 0);");
   ln("    }");
   ln("    sfCharge(" + costExpr(CostKind::LoopOverhead) + ", Loc);");
   ln("  };");
@@ -327,11 +384,11 @@ void Emitter::prologue(int64_t MaskLevels, int32_t MaxArgs) {
   ln("    for (int64_t L = 0; L < SF_LANES; ++L)");
   ln("      if (V.I[L] != First) BadL[NBad++] = L;");
   ln("    if (NBad) {");
-  ln("      std::string D = std::string(What) +");
-  ln("          \" is not control-uniform across lanes; lane-varying "
-     "control flow needs WHERE / WHILE ANY(...)\";");
+  ln("      char D[SF_MSGMAX + 128];");
+  ln("      sfPut(sfPut(D, What), \" is not control-uniform across lanes; "
+     "lane-varying control flow needs WHERE / WHILE ANY(...)\");");
   ln("      sfTrap(" + i2s(trapCode(interp::TrapKind::NonUniformControl)) +
-     ", Loc, D.c_str(), BadL, NBad);");
+     ", Loc, D, BadL, NBad);");
   ln("    }");
   ln("    return First;");
   ln("  };");
@@ -677,7 +734,7 @@ void Emitter::emitInstr(size_t PC, const Instr &I) {
     bool IsMax = (I.D & 1) != 0;
     int K = I.D >> 1;
     bool Real = K == 1;
-    std::string Fn = IsMax ? "std::max" : "std::min";
+    std::string Fn = IsMax ? "sfMax" : "sfMin";
     ln("    const SfReg &Lh = sfToKind(" + reg(I.B) + ", " + i2s(K) +
        ", TA);");
     ln("    const SfReg &Rh = sfToKind(" + reg(I.C) + ", " + i2s(K) +
@@ -699,11 +756,11 @@ void Emitter::emitInstr(size_t PC, const Instr &I) {
     ln("    if (V.K == 1) {");
     ln("      O.K = 1;");
     ln("      for (int64_t L = 0; L < SF_LANES; ++L) O.R[L] = "
-       "std::fabs(V.R[L]);");
+       "__builtin_fabs(V.R[L]);");
     ln("    } else {");
     ln("      O.K = V.K;");
     ln("      for (int64_t L = 0; L < SF_LANES; ++L) O.I[L] = "
-       "std::llabs(V.I[L]);");
+       "__builtin_llabs(V.I[L]);");
     ln("    }");
     break;
   case Opcode::SqrtOp:
@@ -719,7 +776,7 @@ void Emitter::emitInstr(size_t PC, const Instr &I) {
     ln("      NBad = 0;");
     ln("      for (int64_t L = 0; L < SF_LANES; ++L) {");
     ln("        if (V.R[L] < 0.0 && CM[L]) BadL[NBad++] = L;");
-    ln("        O.R[L] = V.R[L] < 0.0 ? 0.0 : std::sqrt(V.R[L]);");
+    ln("        O.R[L] = V.R[L] < 0.0 ? 0.0 : __builtin_sqrt(V.R[L]);");
     ln("      }");
     ln("      if (NBad)");
     ln("        sfTrap(" + i2s(trapCode(interp::TrapKind::DomainError)) +
@@ -727,7 +784,7 @@ void Emitter::emitInstr(size_t PC, const Instr &I) {
        ", \"SQRT of a negative on active lane(s)\", BadL, NBad);");
     ln("    } else {");
     ln("      for (int64_t L = 0; L < SF_LANES; ++L) O.R[L] = "
-       "std::sqrt(V.R[L]);");
+       "__builtin_sqrt(V.R[L]);");
     ln("    }");
     break;
   case Opcode::LaneIdx:
@@ -769,20 +826,18 @@ void Emitter::emitInstr(size_t PC, const Instr &I) {
          ", " + Loc + ", \"" + (IsMax ? "MAXRED" : "MINRED") +
          " with no active lanes\", nullptr, 0); }");
     }
-    std::string CombR = IsMax   ? "Acc = std::max(Acc, V.R[L]);"
-                        : IsMin ? "Acc = std::min(Acc, V.R[L]);"
+    std::string CombR = IsMax   ? "Acc = sfMax(Acc, V.R[L]);"
+                        : IsMin ? "Acc = sfMin(Acc, V.R[L]);"
                                 : "Acc = Acc + V.R[L];";
-    std::string CombI = IsMax   ? "Acc = std::max(Acc, V.I[L]);"
-                        : IsMin ? "Acc = std::min(Acc, V.I[L]);"
+    std::string CombI = IsMax   ? "Acc = sfMax(Acc, V.I[L]);"
+                        : IsMin ? "Acc = sfMin(Acc, V.I[L]);"
                                 : "Acc = Acc + V.I[L];";
-    std::string InitR = IsMax
-                            ? "-std::numeric_limits<double>::infinity()"
-                        : IsMin
-                            ? "std::numeric_limits<double>::infinity()"
-                            : "0.0";
-    std::string InitI = IsMax   ? "std::numeric_limits<int64_t>::min()"
-                        : IsMin ? "std::numeric_limits<int64_t>::max()"
-                                : "INT64_C(0)";
+    std::string InitR = IsMax   ? "-__builtin_inf()"
+                        : IsMin ? "__builtin_inf()"
+                                : "0.0";
+    std::string InitI = IsMax   ? "(-__INT64_MAX__ - 1)"
+                        : IsMin ? "__INT64_MAX__"
+                                : "0";
     ln("    SfReg &O = " + reg(I.A) + ";");
     // Masked, in lane order: SUM must accumulate left to right for FP
     // bit-identity across engines.
@@ -809,26 +864,22 @@ void Emitter::emitInstr(size_t PC, const Instr &I) {
        i2s(Layers) + ".0, " + Loc + ");");
     ln("    SfReg &O = " + reg(I.A) + ";");
     if (S.IsReal) {
-      ln("    double Acc = " +
-         std::string(
-             IsSum ? "0.0" : "-std::numeric_limits<double>::infinity()") +
-         ";");
+      ln(std::string("    double Acc = ") +
+         (IsSum ? "0.0" : "-__builtin_inf()") + ";");
       ln("    for (int64_t K2 = 0; K2 < " + i2s(S.Width) + "; ++K2) {");
       ln("      double X = SL[" + i2s(I.B) + "].R[K2];");
       ln(std::string("      Acc = ") +
-         (IsSum ? "Acc + X" : "std::max(Acc, X)") + ";");
+         (IsSum ? "Acc + X" : "sfMax(Acc, X)") + ";");
       ln("    }");
       ln("    O.K = 1;");
       ln("    for (int64_t L = 0; L < SF_LANES; ++L) O.R[L] = Acc;");
     } else {
-      ln("    int64_t Acc = " +
-         std::string(IsSum ? "INT64_C(0)"
-                           : "std::numeric_limits<int64_t>::min()") +
-         ";");
+      ln(std::string("    int64_t Acc = ") +
+         (IsSum ? "0" : "(-__INT64_MAX__ - 1)") + ";");
       ln("    for (int64_t K2 = 0; K2 < " + i2s(S.Width) + "; ++K2) {");
       ln("      int64_t X = SL[" + i2s(I.B) + "].I[K2];");
       ln(std::string("      Acc = ") +
-         (IsSum ? "Acc + X" : "std::max(Acc, X)") + ";");
+         (IsSum ? "Acc + X" : "sfMax(Acc, X)") + ";");
       ln("    }");
       ln("    O.K = 0;");
       ln("    for (int64_t L = 0; L < SF_LANES; ++L) O.I[L] = Acc;");

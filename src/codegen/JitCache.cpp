@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <map>
 #include <mutex>
+#include <string_view>
 
 #if SIMDFLAT_JIT_ENABLED
 #include <condition_variable>
@@ -24,17 +25,18 @@
 using namespace simdflat;
 using namespace simdflat::codegen;
 
-uint64_t codegen::sourceKey(const std::string &Source) {
-  // FNV-1a 64.
-  uint64_t H = 14695981039346656037ULL;
-  for (unsigned char C : Source) {
+namespace {
+
+constexpr uint64_t FnvBasis = 14695981039346656037ULL;
+
+/// Continues an FNV-1a 64 hash \p H over \p S.
+uint64_t fnv1a(uint64_t H, std::string_view S) {
+  for (unsigned char C : S) {
     H ^= C;
     H *= 1099511628211ULL;
   }
   return H;
 }
-
-namespace {
 
 struct CacheEntry {
   bool Done = false;
@@ -58,6 +60,19 @@ Cache &cache() {
 
 #if SIMDFLAT_JIT_ENABLED
 
+// -ffp-contract=off: the emitted loops must not fuse a mul+add that the
+// bytecode engine executes as two rounded instructions, or the
+// differential oracle loses FP bit-identity. -march=native is safe for
+// a JIT (artifacts never leave the host that compiled them) and lets
+// the per-lane loops vectorize; -fno-math-errno frees sqrt to inline
+// (the emitted code pre-sweeps negative operands exactly like the
+// interpreter, so errno was already dead). Both keep every operation
+// individually IEEE-rounded. -w: generated code has unused
+// labels/locals by construction.
+constexpr const char *JitFlags = "-std=c++20 -O3 -march=native "
+                                 "-fno-math-errno -fPIC -shared "
+                                 "-ffp-contract=off -w";
+
 std::string compilerPath() {
   if (const char *Env = std::getenv("SIMDFLAT_JIT_CC"))
     return Env;
@@ -70,11 +85,39 @@ std::filesystem::path artifactDir() {
   return std::filesystem::temp_directory_path() / "simdflat-jit";
 }
 
+/// The cache key: FNV-1a over the compiler path, the flags and the
+/// source, so an artifact is never reused across toolchains or compile
+/// commands.
+uint64_t artifactKey(const std::string &Cc, const std::string &Source) {
+  uint64_t H = fnv1a(FnvBasis, Cc);
+  H = fnv1a(H, std::string_view("\0", 1));
+  H = fnv1a(H, JitFlags);
+  H = fnv1a(H, std::string_view("\0", 1));
+  return fnv1a(H, Source);
+}
+
+/// True when \p Path holds exactly \p Source.
+bool fileHolds(const std::filesystem::path &Path, const std::string &Source) {
+  std::error_code EC;
+  if (std::filesystem::file_size(Path, EC) != Source.size() || EC)
+    return false;
+  std::ifstream In(Path, std::ios::binary);
+  std::string Text(Source.size(), '\0');
+  return In.read(Text.data(), static_cast<std::streamsize>(Text.size())) &&
+         Text == Source;
+}
+
+/// What buildOne did, folded into JitStats by the caller under the lock.
+struct BuildOutcome {
+  bool WasCompile = false;
+  bool WasStale = false;
+  int64_t Bytes = 0;
+};
+
 /// Builds + loads one artifact outside any lock. Returns null on any
-/// failure; updates only local *Out counters (caller folds them in
-/// under the lock).
-SfNativeRunFn buildOne(const std::string &Source, uint64_t Key,
-                       bool &WasCompile, int64_t &Bytes) {
+/// failure.
+SfNativeRunFn buildOne(const std::string &Cc, const std::string &Source,
+                       uint64_t Key, BuildOutcome &Out) {
   std::error_code EC;
   std::filesystem::path Dir = artifactDir();
   std::filesystem::create_directories(Dir, EC);
@@ -92,16 +135,21 @@ SfNativeRunFn buildOne(const std::string &Source, uint64_t Key,
   const std::string Pid = std::to_string(static_cast<long>(::getpid()));
   std::filesystem::path Log = Dir / (std::string(Name) + "." + Pid + ".log");
 
-  if (!std::filesystem::exists(So, EC)) {
+  // A present module is reused only when the source beside it is this
+  // source: the file name is a 64-bit hash, and a stale or damaged
+  // artifact must cost a recompile, never a wrong module.
+  bool Present = std::filesystem::exists(So, EC);
+  Out.WasStale = Present && !fileHolds(Cpp, Source);
+  if (!Present || Out.WasStale) {
     // Write the source via temp + rename so a concurrent process never
     // compiles a half-written file.
     std::filesystem::path Tmp = Dir / (std::string(Name) + ".cpp.tmp" + Pid);
     {
-      std::ofstream Out(Tmp, std::ios::binary | std::ios::trunc);
-      if (!Out)
+      std::ofstream File(Tmp, std::ios::binary | std::ios::trunc);
+      if (!File)
         return nullptr;
-      Out << Source;
-      if (!Out.flush())
+      File << Source;
+      if (!File.flush())
         return nullptr;
     }
     std::filesystem::rename(Tmp, Cpp, EC);
@@ -110,22 +158,10 @@ SfNativeRunFn buildOne(const std::string &Source, uint64_t Key,
       return nullptr;
     }
 
-    // -ffp-contract=off: the emitted loops must not fuse a mul+add that
-    // the bytecode engine executes as two rounded instructions, or the
-    // differential oracle loses FP bit-identity. -march=native is safe
-    // for a JIT (artifacts never leave the host that compiled them) and
-    // lets the per-lane loops vectorize; -fno-math-errno frees sqrt to
-    // inline (the emitted code pre-sweeps negative operands exactly
-    // like the interpreter, so errno was already dead). Both keep every
-    // operation individually IEEE-rounded. -w: generated code has
-    // unused labels/locals by construction.
     std::filesystem::path SoTmp = Dir / (std::string(Name) + ".so.tmp" + Pid);
     std::ostringstream Cmd;
-    Cmd << "\"" << compilerPath() << "\""
-        << " -std=c++20 -O3 -march=native -fno-math-errno -fPIC -shared"
-        << " -ffp-contract=off -w"
-        << " -o \"" << SoTmp.string() << "\" \"" << Cpp.string() << "\""
-        << " 2> \"" << Log.string() << "\"";
+    Cmd << "\"" << Cc << "\" " << JitFlags << " -o \"" << SoTmp.string()
+        << "\" \"" << Cpp.string() << "\" 2> \"" << Log.string() << "\"";
     if (std::system(Cmd.str().c_str()) != 0) {
       // The log stays behind: it holds the compiler's diagnostics.
       std::filesystem::remove(SoTmp, EC);
@@ -137,8 +173,8 @@ SfNativeRunFn buildOne(const std::string &Source, uint64_t Key,
       std::filesystem::remove(SoTmp, EC);
       return nullptr;
     }
-    WasCompile = true;
-    Bytes = static_cast<int64_t>(std::filesystem::file_size(So, EC));
+    Out.WasCompile = true;
+    Out.Bytes = static_cast<int64_t>(std::filesystem::file_size(So, EC));
   }
 
   void *Handle = ::dlopen(So.c_str(), RTLD_NOW | RTLD_LOCAL);
@@ -153,6 +189,10 @@ SfNativeRunFn buildOne(const std::string &Source, uint64_t Key,
 
 } // namespace
 
+uint64_t codegen::sourceKey(const std::string &Source) {
+  return fnv1a(FnvBasis, Source);
+}
+
 bool codegen::jitAvailable() {
 #if SIMDFLAT_JIT_ENABLED
   return !compilerPath().empty();
@@ -165,7 +205,8 @@ SfNativeRunFn codegen::getOrCompile(const std::string &Source) {
 #if SIMDFLAT_JIT_ENABLED
   if (!jitAvailable() || Source.empty())
     return nullptr;
-  uint64_t Key = sourceKey(Source);
+  const std::string Cc = compilerPath();
+  uint64_t Key = artifactKey(Cc, Source);
   Cache &C = cache();
 
   {
@@ -182,9 +223,8 @@ SfNativeRunFn codegen::getOrCompile(const std::string &Source) {
     E.Building = true;
   }
 
-  bool WasCompile = false;
-  int64_t Bytes = 0;
-  SfNativeRunFn Fn = buildOne(Source, Key, WasCompile, Bytes);
+  BuildOutcome Out;
+  SfNativeRunFn Fn = buildOne(Cc, Source, Key, Out);
 
   {
     std::unique_lock<std::mutex> Lk(C.Mu);
@@ -192,11 +232,12 @@ SfNativeRunFn codegen::getOrCompile(const std::string &Source) {
     E.Building = false;
     E.Done = true;
     E.Fn = Fn;
+    C.Stats.StaleArtifacts += Out.WasStale;
     if (!Fn)
       C.Stats.Failures += 1;
-    else if (WasCompile) {
+    else if (Out.WasCompile) {
       C.Stats.Compiles += 1;
-      C.Stats.ArtifactBytes += Bytes;
+      C.Stats.ArtifactBytes += Out.Bytes;
     } else
       C.Stats.DiskHits += 1;
     C.Cv.notify_all();

@@ -7,10 +7,13 @@
 /// \file
 /// Turns emitted C++ source (codegen::CppEmitter) into a loaded native
 /// entry point: shells out to the host compiler, dlopen's the shared
-/// object, and caches the result keyed by a hash of the source text.
+/// object, and caches the result keyed by a hash of the compiler path,
+/// the compile flags and the source text.
 /// Artifacts live under $SIMDFLAT_JIT_DIR (default: a per-user
 /// directory under the system temp dir), so identical programs compile
-/// once per machine, not once per process.
+/// once per machine, not once per process. An artifact found on disk
+/// is loaded only when the source saved beside it equals the requested
+/// source; otherwise it is rebuilt and counted as stale.
 ///
 /// Failure is a first-class outcome, not an error: when the build was
 /// configured with SIMDFLAT_ENABLE_JIT=OFF, when the configured
@@ -40,11 +43,13 @@ namespace codegen {
 /// Cumulative counters for one process (all JitCache queries share one
 /// global cache).
 struct JitStats {
-  int64_t Hits = 0;          ///< In-memory entry-point hits.
-  int64_t Compiles = 0;      ///< Successful compiler invocations.
-  int64_t DiskHits = 0;      ///< Artifact already on disk; dlopen only.
-  int64_t Failures = 0;      ///< Failed compiles/loads (also cached).
-  int64_t ArtifactBytes = 0; ///< Total bytes of .so files produced.
+  int64_t Hits = 0;           ///< In-memory entry-point hits.
+  int64_t Compiles = 0;       ///< Successful compiler invocations.
+  int64_t DiskHits = 0;       ///< Artifact already on disk; dlopen only.
+  int64_t Failures = 0;       ///< Failed compiles/loads (also cached).
+  int64_t StaleArtifacts = 0; ///< On-disk module whose saved source
+                              ///< differed from the request; rebuilt.
+  int64_t ArtifactBytes = 0;  ///< Total bytes of .so files produced.
 };
 
 /// True when this build can ever JIT: SIMDFLAT_ENABLE_JIT was ON and a
@@ -62,8 +67,9 @@ SfNativeRunFn getOrCompile(const std::string &Source);
 /// Process-wide counters (copied under the cache lock).
 JitStats jitStats();
 
-/// The FNV-1a 64-bit hash of \p Source - the cache key, also the
-/// artifact base name. Exposed for tests and cache-key plumbing.
+/// The FNV-1a 64-bit hash of \p Source. The cache key (also the
+/// artifact base name) continues this hash over the compiler path and
+/// the compile flags. Exposed for tests.
 uint64_t sourceKey(const std::string &Source);
 
 } // namespace codegen

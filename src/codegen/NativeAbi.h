@@ -105,8 +105,9 @@ struct SfContext {
 };
 
 /// Entry point type: returns 0 on a completed run, 1 on an ABI
-/// mismatch (the host then falls back to bytecode). Traps leave via a
-/// host callback that throws.
+/// mismatch, 2 when the per-run scratch could not be allocated (on
+/// nonzero nothing ran and the host falls back to bytecode). Traps
+/// leave via a host callback that throws.
 using SfNativeRunFn = int32_t (*)(SfContext *);
 
 } // namespace codegen

@@ -338,7 +338,7 @@ bool codegen::runSimdNative(const exec::Program &EP,
     throw;
   }
   if (RC != 0)
-    return false; // ABI skew: clean bytecode fallback.
+    return false; // ABI skew or no scratch: clean bytecode fallback.
   H.syncStats();
   Stats.Seconds = Stats.Cycles * Machine.SecondsPerCycle;
   return true;

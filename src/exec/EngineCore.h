@@ -144,7 +144,10 @@ public:
     }
   }
 
-  void run();
+  /// Starts on a cache-line boundary: the dispatch loop's speed depends
+  /// on its alignment, and without the pin an unrelated change elsewhere
+  /// in the binary moved warm bytecode replies by 7%.
+  __attribute__((aligned(64))) void run();
 
 private:
   const Program &EP;

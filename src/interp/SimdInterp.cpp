@@ -50,7 +50,7 @@ public:
         Mask(Machine.Gran), Lanes(Machine.Gran) {}
 
   const Program &Prog;
-  const machine::MachineConfig &Machine;
+  machine::MachineConfig Machine;
   const ExternRegistry *Externs;
   RunOptions Opts;
   DataStore Store;

@@ -11,7 +11,10 @@
 #include "codegen/JitCache.h"
 #include "exec/Lower.h"
 #include "transform/Pipeline.h"
+#include "workloads/Mandelbrot.h"
 #include "workloads/PaperKernels.h"
+#include "workloads/RegionGrow.h"
+#include "workloads/SpMV.h"
 
 #include <gtest/gtest.h>
 
@@ -47,6 +50,40 @@ TEST(CppEmitter, SimdProgramEmitsEntryAndAbiGuard) {
 
 TEST(CppEmitter, EmissionIsDeterministic) {
   EXPECT_EQ(emitExample(), emitExample());
+}
+
+TEST(CppEmitter, PaperKernelsEmitHeaderFreeTranslationUnits) {
+  // The emitted TU declares the little it uses itself: parsing the
+  // standard headers cost more host-compile time than the generated
+  // code. No #include and no std:: at any lane count or layout.
+  transform::PipelineOptions MinOne;
+  MinOne.AssumeInnerMinOneTrip = true;
+  const std::pair<ir::Program, transform::PipelineOptions> Kernels[] = {
+      {makeExample(paperExampleSpec()), MinOne},
+      {mandelbrotF77(MandelbrotSpec()), MinOne},
+      {regionGrowF77(6, 9), transform::PipelineOptions()},
+      {spmvF77(16, 64), transform::PipelineOptions()},
+  };
+  for (const auto &[Prog, Opts] : Kernels) {
+    for (machine::Layout L : {machine::Layout::Cyclic, machine::Layout::Block}) {
+      transform::PipelineOptions PO = Opts;
+      PO.Layout = L;
+      auto C = transform::compileForSimdExec(Prog, PO);
+      ASSERT_TRUE(static_cast<bool>(C)) << Prog.name();
+      for (int64_t Lanes : {1, 3, 64, 1024}) {
+        machine::MachineConfig M;
+        M.Processors = Lanes;
+        M.Gran = Lanes;
+        M.DataLayout = L;
+        std::string Src = codegen::emitCpp(*C->Code, C->Prog, M);
+        ASSERT_FALSE(Src.empty()) << Prog.name() << " lanes " << Lanes;
+        EXPECT_EQ(Src.find("#include"), std::string::npos)
+            << Prog.name() << " lanes " << Lanes;
+        EXPECT_EQ(Src.find("std::"), std::string::npos)
+            << Prog.name() << " lanes " << Lanes;
+      }
+    }
+  }
 }
 
 TEST(CppEmitter, ScalarModeProgramIsRejected) {

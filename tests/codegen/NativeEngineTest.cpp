@@ -13,17 +13,23 @@
 
 #include "codegen/JitCache.h"
 #include "codegen/NativeEngine.h"
+#include "exec/Lower.h"
 #include "interp/SimdInterp.h"
 #include "transform/Pipeline.h"
+#include "workloads/Mandelbrot.h"
 #include "workloads/PaperKernels.h"
 
 #include "ir/Builder.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <memory>
 #include <string>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -77,6 +83,54 @@ void expectSameTrap(const Trap &A, const Trap &B) {
 
 constexpr Engine AllEngines[] = {Engine::Tree, Engine::Bytecode,
                                  Engine::Native};
+
+/// A fresh, empty directory under the test temp dir.
+std::filesystem::path freshDir(const std::string &Tag) {
+  std::string Templ = testing::TempDir() + "/simdflat-" + Tag + "-XXXXXX";
+  if (!::mkdtemp(Templ.data()))
+    return {};
+  return Templ;
+}
+
+/// Writes an executable /bin/sh script with \p Body at \p Path.
+void writeScript(const std::filesystem::path &Path, const std::string &Body) {
+  {
+    std::ofstream Out(Path);
+    Out << "#!/bin/sh\n" << Body;
+  }
+  std::filesystem::permissions(Path, std::filesystem::perms::owner_all);
+}
+
+/// Sets an environment variable for one scope.
+class ScopedEnv {
+public:
+  ScopedEnv(const char *Name, const std::string &Value) : Name(Name) {
+    ::setenv(Name, Value.c_str(), 1);
+  }
+  ~ScopedEnv() { ::unsetenv(Name); }
+  ScopedEnv(const ScopedEnv &) = delete;
+  ScopedEnv &operator=(const ScopedEnv &) = delete;
+
+private:
+  const char *Name;
+};
+
+/// Bit patterns of \p V, so -0.0 and NaN payloads compare exactly.
+std::vector<uint64_t> bits(const std::vector<double> &V) {
+  std::vector<uint64_t> B(V.size());
+  if (!V.empty())
+    std::memcpy(B.data(), V.data(), V.size() * sizeof(double));
+  return B;
+}
+
+/// Every slot's payload, bit for bit.
+void expectSameStore(const DataStore &A, const DataStore &B,
+                     const Program &P) {
+  for (const VarDecl &D : P.vars()) {
+    EXPECT_EQ(A.slot(D.Name).I, B.slot(D.Name).I) << D.Name;
+    EXPECT_EQ(bits(A.slot(D.Name).R), bits(B.slot(D.Name).R)) << D.Name;
+  }
+}
 
 TEST(NativeEngine, FlattenedExampleEngineEquivalence) {
   // The paper's flattened EXAMPLE with a recorded trace: stores, stats,
@@ -299,6 +353,140 @@ TEST(NativeEngine, ExpiredDeadlineTrapIdentity) {
     expectSameTrap(T[0], T[J]);
 }
 
+TEST(NativeEngine, LoopLimitTrapIdentity) {
+  // The native module renders the loop-iteration backstop's detail into
+  // a buffer sized at emit time: a program name longer than 128 bytes
+  // and the most negative limit must still come out byte-identical.
+  ExampleSpec Spec = paperExampleSpec();
+  Program Src = makeExample(Spec);
+  const std::string Name = std::string(150, 'N') + "_LONG_NAME";
+  Src.setName(Name);
+  transform::PipelineOptions PO;
+  PO.AssumeInnerMinOneTrip = true;
+  auto C = transform::compileForSimdExec(Src, PO);
+  ASSERT_TRUE(static_cast<bool>(C));
+  machine::MachineConfig M = lanes(4, machine::Layout::Cyclic);
+  for (int64_t Limit : {int64_t{3}, INT64_MIN}) {
+    Trap T[3];
+    int I = 0;
+    for (Engine E : AllEngines) {
+      RunOptions O;
+      O.Eng = E;
+      O.MaxLoopIterations = Limit;
+      SimdInterp Interp(C->Prog, M, nullptr, O);
+      if (E != Engine::Tree)
+        Interp.setCompiled(C->Code);
+      Interp.store().setInt("K", Spec.K);
+      Interp.store().setIntArray("L", Spec.L);
+      auto R = Interp.run();
+      ASSERT_FALSE(R) << engineName(E) << " limit " << Limit;
+      T[I++] = R.error();
+    }
+    EXPECT_EQ(T[0].Kind, TrapKind::FuelExhausted);
+    EXPECT_NE(T[0].Detail.find(std::to_string(Limit) + " exceeded in '" +
+                               Name + "'"),
+              std::string::npos)
+        << T[0].Detail;
+    for (int J : {1, 2})
+      expectSameTrap(T[0], T[J]);
+  }
+}
+
+TEST(NativeEngine, NonUniformControlTrapIdentity) {
+  // A lane-varying WHILE condition traps with the divergent lanes under
+  // every engine. The native module builds the detail in a buffer
+  // sized by the longest control message, so the same run is repeated
+  // on a lowering whose message is longer than 256 bytes (the lowering
+  // only interns short fixed texts; the tree engine has its own, so
+  // that leg compares bytecode and native).
+  Program P("nonuniform");
+  P.setDialect(Dialect::F90Simd);
+  P.addVar("v", ScalarKind::Int, {}, Dist::Replicated);
+  Builder B(P);
+  P.body().push_back(B.set("v", B.laneIndex()));
+  P.body().push_back(
+      B.whileLoop(B.lt(B.var("v"), B.lit(3)),
+                  Builder::body(B.set("v", B.add(B.var("v"), B.lit(1))))));
+  machine::MachineConfig M = lanes(4, machine::Layout::Cyclic);
+  Trap T[3];
+  int I = 0;
+  for (Engine E : AllEngines) {
+    RunOptions O;
+    O.Eng = E;
+    SimdInterp Interp(P, M, nullptr, O);
+    auto R = Interp.run();
+    ASSERT_FALSE(R) << engineName(E);
+    T[I++] = R.error();
+  }
+  EXPECT_EQ(T[0].Kind, TrapKind::NonUniformControl);
+  EXPECT_EQ(T[0].Lanes, (std::vector<int64_t>{2, 3}));
+  for (int J : {1, 2})
+    expectSameTrap(T[0], T[J]);
+
+  const std::string Short = "WHILE condition";
+  ASSERT_EQ(T[0].Detail.rfind(Short, 0), 0u) << T[0].Detail;
+  const std::string Long = Short + " " + std::string(300, 'w');
+  exec::Program Doctored = exec::lower(P, exec::Mode::Simd);
+  int Replaced = 0;
+  for (std::string &Msg : Doctored.Msgs)
+    if (Msg == Short) {
+      Msg = Long;
+      ++Replaced;
+    }
+  ASSERT_EQ(Replaced, 1);
+  auto Code = std::make_shared<const exec::Program>(std::move(Doctored));
+  Trap LT[2];
+  I = 0;
+  for (Engine E : {Engine::Bytecode, Engine::Native}) {
+    RunOptions O;
+    O.Eng = E;
+    SimdInterp Interp(P, M, nullptr, O);
+    Interp.setCompiled(Code);
+    auto R = Interp.run();
+    ASSERT_FALSE(R) << engineName(E);
+    LT[I++] = R.error();
+  }
+  EXPECT_EQ(LT[0].Detail, Long + T[0].Detail.substr(Short.size()));
+  EXPECT_EQ(LT[0].Lanes, T[0].Lanes);
+  expectSameTrap(LT[0], LT[1]);
+}
+
+TEST(NativeEngine, ThousandLanesMatchBytecode) {
+  // At 1024 lanes the register file alone is hundreds of kilobytes, so
+  // the module's per-run scratch must live on the heap. Every pixel of
+  // a 32x32 Mandelbrot gets its own lane.
+  MandelbrotSpec Spec;
+  Spec.Width = 32;
+  Spec.Height = 32;
+  Spec.MaxIter = 24;
+  transform::PipelineOptions PO;
+  PO.AssumeInnerMinOneTrip = true;
+  auto C = transform::compileForSimdExec(mandelbrotF77(Spec), PO);
+  ASSERT_TRUE(static_cast<bool>(C));
+  machine::MachineConfig M = lanes(1024, machine::Layout::Cyclic);
+  SimdRunResult R[2];
+  std::vector<int64_t> It[2];
+  int I = 0;
+  for (Engine E : {Engine::Bytecode, Engine::Native}) {
+    RunOptions O;
+    O.Eng = E;
+    O.WorkTargets = {"tmp"};
+    SimdInterp Interp(C->Prog, M, nullptr, O);
+    Interp.setCompiled(C->Code);
+    Interp.store().setInt("maxIter", Spec.MaxIter);
+    R[I] = Interp.run().value();
+    It[I] = Interp.store().getIntArray("IT");
+    ++I;
+  }
+  EXPECT_EQ(It[0], mandelbrotIterations(Spec));
+  EXPECT_EQ(It[0], It[1]);
+  expectSameStats(R[0].Stats, R[1].Stats);
+  expectSameTripNests(R[0].Stats, R[1].Stats);
+  if (codegen::nativeAvailable()) {
+    EXPECT_EQ(R[1].EngineUsed, Engine::Native);
+  }
+}
+
 TEST(NativeEngine, BlockLayoutForall) {
   // Block layout exercises the other FaLayerMask/laneOf emission path.
   Program P("fb");
@@ -371,17 +559,12 @@ TEST(NativeEngine, ConcurrentProcessesShareOneArtifactDir) {
   // temp name shared between the processes cannot survive that.
   if (!codegen::nativeAvailable())
     GTEST_SKIP() << "no JIT in this build";
-  std::string Templ = testing::TempDir() + "/simdflat-jit-race-XXXXXX";
-  ASSERT_NE(::mkdtemp(Templ.data()), nullptr);
-  const std::filesystem::path Root = Templ;
+  const std::filesystem::path Root = freshDir("jit-race");
+  ASSERT_FALSE(Root.empty());
   const std::filesystem::path Dir = Root / "jit";
   const std::filesystem::path Cc = Root / "slow-cc.sh";
-  if (FILE *F = std::fopen(Cc.c_str(), "w")) {
-    std::fprintf(F, "#!/bin/sh\n\"%s\" \"$@\" || exit $?\nsleep 1\n",
-                 SIMDFLAT_TEST_CXX);
-    std::fclose(F);
-  }
-  std::filesystem::permissions(Cc, std::filesystem::perms::owner_all);
+  writeScript(Cc, std::string("\"") + SIMDFLAT_TEST_CXX +
+                      "\" \"$@\" || exit $?\nsleep 1\n");
   ::setenv("SIMDFLAT_JIT_DIR", Dir.c_str(), 1);
   ::setenv("SIMDFLAT_JIT_CC", Cc.c_str(), 1);
 
@@ -432,8 +615,12 @@ TEST(NativeEngine, ConcurrentProcessesShareOneArtifactDir) {
           static_cast<long long>(R.Stats.WorkSteps));
       std::string Res = engineName(R.EngineUsed);
       Res += Buf;
-      for (int64_t V : Interp.store().getIntArray("X"))
-        Res += " " + std::to_string(V);
+      // Appended piecewise: GCC 12's -O3 -Werror=restrict misfires on
+      // `" " + std::to_string(V)`.
+      for (int64_t V : Interp.store().getIntArray("X")) {
+        Res += ' ';
+        Res += std::to_string(V);
+      }
       bool Wrote = ::write(P[1], Res.data(), Res.size()) ==
                    static_cast<ssize_t>(Res.size());
       ::_exit(Wrote ? 0 : 4);
@@ -471,6 +658,133 @@ TEST(NativeEngine, ConcurrentProcessesShareOneArtifactDir) {
     Modules += Ext == ".so";
   }
   EXPECT_EQ(Modules, 1);
+  std::filesystem::remove_all(Root);
+}
+
+TEST(NativeEngine, EmittedTuCompilesWithoutStandardHeaders) {
+  // The emitted TU must not need a single system header: compiled with
+  // -nostdinc -nostdinc++ it still loads and matches the other engines
+  // on a program that uses every library piece the prelude replaces
+  // (INT64_MIN, abs, sqrt, max/min, the reduction identities).
+  if (!codegen::nativeAvailable())
+    GTEST_SKIP() << "no JIT in this build";
+  const std::filesystem::path Root = freshDir("jit-nostdinc");
+  ASSERT_FALSE(Root.empty());
+  const std::filesystem::path Cc = Root / "nostdinc-cc.sh";
+  writeScript(Cc, std::string("exec \"") + SIMDFLAT_TEST_CXX +
+                      "\" -nostdinc -nostdinc++ \"$@\"\n");
+  ScopedEnv JitDir("SIMDFLAT_JIT_DIR", (Root / "jit").string());
+  ScopedEnv JitCc("SIMDFLAT_JIT_CC", Cc.string());
+
+  Program P("prelude");
+  P.setDialect(Dialect::F90Simd);
+  for (const char *V : {"v", "m", "hi", "lo"})
+    P.addVar(V, ScalarKind::Int, {}, Dist::Replicated);
+  for (const char *V : {"r", "x", "big", "small"})
+    P.addVar(V, ScalarKind::Real, {}, Dist::Replicated);
+  Builder B(P);
+  P.body().push_back(B.set("v", B.laneIndex()));
+  P.body().push_back(B.set("m", B.add(B.lit(INT64_MIN), B.var("v"))));
+  P.body().push_back(B.set("hi", B.maxRed(B.var("m"))));
+  P.body().push_back(B.set("m", B.abs(B.var("m"))));
+  P.body().push_back(B.set("lo", B.minRed(B.var("m"))));
+  P.body().push_back(B.set("r", B.mul(B.lit(0.5), B.var("v"))));
+  P.body().push_back(B.set("x", B.abs(B.neg(B.sqrt(B.var("r"))))));
+  P.body().push_back(B.set("r", B.max(B.var("r"), B.lit(1.25))));
+  P.body().push_back(B.set("v", B.min(B.var("v"), B.lit(2))));
+  P.body().push_back(B.set("big", B.maxRed(B.var("x"))));
+  P.body().push_back(B.set("small", B.minRed(B.var("r"))));
+  machine::MachineConfig M = lanes(5, machine::Layout::Cyclic);
+
+  codegen::JitStats Before = codegen::jitStats();
+  std::unique_ptr<SimdInterp> Runs[3];
+  SimdRunResult R[3];
+  int I = 0;
+  for (Engine E : AllEngines) {
+    RunOptions O;
+    O.Eng = E;
+    Runs[I] = std::make_unique<SimdInterp>(P, M, nullptr, O);
+    R[I] = Runs[I]->run().value();
+    ++I;
+  }
+  codegen::JitStats After = codegen::jitStats();
+  EXPECT_EQ(R[2].EngineUsed, Engine::Native);
+  EXPECT_EQ(After.Compiles - Before.Compiles, 1);
+  EXPECT_EQ(After.Failures, Before.Failures);
+  for (int J : {1, 2}) {
+    expectSameStore(Runs[0]->store(), Runs[J]->store(), P);
+    expectSameStats(R[0].Stats, R[J].Stats);
+  }
+  EXPECT_EQ(Runs[0]->store().getIntLane("hi", 0), INT64_MIN + 5);
+  std::filesystem::remove_all(Root);
+}
+
+TEST(NativeEngine, CorruptedArtifactSourceForcesRecompile) {
+  // An artifact is found on disk by a 64-bit hash of its file name, so
+  // a module is reused only when the source saved beside it is the
+  // requested source. Drill: a child process compiles into a fresh
+  // directory, the saved source is damaged, and the next load here
+  // must recompile (counted as stale) and stay bit-identical.
+  if (!codegen::nativeAvailable())
+    GTEST_SKIP() << "no JIT in this build";
+  const std::filesystem::path Root = freshDir("jit-stale");
+  ASSERT_FALSE(Root.empty());
+  const std::filesystem::path Dir = Root / "jit";
+  ScopedEnv JitDir("SIMDFLAT_JIT_DIR", Dir.string());
+
+  // K = 11 and 5 lanes appear in no other test, so this process's
+  // in-memory cache cannot hold the module.
+  ExampleSpec Spec;
+  Spec.K = 11;
+  Spec.L = {3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5};
+  transform::PipelineOptions PO;
+  PO.AssumeInnerMinOneTrip = true;
+  auto C = transform::compileForSimdExec(makeExample(Spec), PO);
+  ASSERT_TRUE(static_cast<bool>(C));
+  const machine::MachineConfig M = lanes(5, machine::Layout::Cyclic);
+  auto Run = [&](Engine E, std::vector<int64_t> &X) {
+    RunOptions O;
+    O.Eng = E;
+    O.WorkTargets = {"X"};
+    SimdInterp Interp(C->Prog, M, nullptr, O);
+    Interp.setCompiled(C->Code);
+    Interp.store().setInt("K", Spec.K);
+    Interp.store().setIntArray("L", Spec.L);
+    SimdRunResult R = Interp.run().value();
+    X = Interp.store().getIntArray("X");
+    return R;
+  };
+
+  pid_t Kid = ::fork();
+  ASSERT_GE(Kid, 0);
+  if (Kid == 0) {
+    std::vector<int64_t> X;
+    ::_exit(Run(Engine::Native, X).EngineUsed == Engine::Native ? 0 : 1);
+  }
+  int Status = 0;
+  ASSERT_EQ(::waitpid(Kid, &Status, 0), Kid);
+  ASSERT_TRUE(WIFEXITED(Status) && WEXITSTATUS(Status) == 0) << Status;
+
+  std::filesystem::path Cpp;
+  for (const auto &E : std::filesystem::directory_iterator(Dir))
+    if (E.path().extension() == ".cpp")
+      Cpp = E.path();
+  ASSERT_FALSE(Cpp.empty());
+  const std::string Damage = "// damaged\n";
+  std::ofstream(Cpp, std::ios::binary | std::ios::trunc) << Damage;
+
+  codegen::JitStats Before = codegen::jitStats();
+  std::vector<int64_t> X[2];
+  SimdRunResult R[2] = {Run(Engine::Bytecode, X[0]),
+                        Run(Engine::Native, X[1])};
+  codegen::JitStats After = codegen::jitStats();
+  EXPECT_EQ(R[1].EngineUsed, Engine::Native);
+  EXPECT_EQ(After.StaleArtifacts - Before.StaleArtifacts, 1);
+  EXPECT_EQ(After.Compiles - Before.Compiles, 1);
+  EXPECT_EQ(After.DiskHits, Before.DiskHits);
+  EXPECT_EQ(X[0], X[1]);
+  expectSameStats(R[0].Stats, R[1].Stats);
+  EXPECT_GT(std::filesystem::file_size(Cpp), Damage.size());
   std::filesystem::remove_all(Root);
 }
 
